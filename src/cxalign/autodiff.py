@@ -4,8 +4,9 @@ A Tensor wraps an ndarray and remembers the primitive application that
 produced it; backward() replays the graph in reverse topological order.
 The primitive set is fixed: matmul, add, mul, scale, softmax, layer norm,
 embedding lookup, GELU, row L2 normalization, cross entropy from logits,
-dropout, mean/sum reductions, plus shape plumbing (reshape, transpose,
-concat, row gather).
+dropout, a sum reduction, plus shape plumbing (reshape, transpose,
+concat, row gather). A primitive none of whose inputs requires a gradient
+records nothing, so a forward over `towers.frozen` views builds no graph.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "concat",
     "take_rows",
     "sum_",
-    "mean_",
     "softmax",
     "layer_norm",
     "gelu",
@@ -266,12 +266,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape),)
 
     return _track(np.asarray(out, dtype=np.float32), (a,), bwd)
-
-
-def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def softmax(a) -> Tensor:

@@ -1,7 +1,8 @@
 """Command-line entry point: gen-corpus | train | embed | eval | report.
 
 Every command writes a manifest (config digest, seed, package versions,
-input digests) next to its outputs so artifacts are reconstructible."""
+input digests, wall time, peak memory) next to its outputs so artifacts are
+reconstructible and their cost is on record."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
+import time
 
 
 def _cap_threads() -> None:
@@ -31,6 +34,8 @@ def _sha256_file(path) -> str:
 
 
 def write_manifest(out_path, command: str, args: dict, config_digest: str, seed, inputs) -> str:
+    """Write the manifest; `args["_started"]` is the command's start on the
+    `time.perf_counter` clock, which `main` sets."""
     import numpy
 
     from . import __version__
@@ -50,6 +55,9 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
             "cxalign": __version__,
         },
         "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "wall_s": round(time.perf_counter() - args["_started"], 3),
+        # the process's peak so far; Linux reports ru_maxrss in KiB
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
     path = str(out_path) + ".manifest.json"
     if os.path.isdir(out_path):
@@ -285,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _cap_threads()
     args = build_parser().parse_args(argv)
+    args._started = time.perf_counter()
     return args.func(args)
 
 

@@ -17,7 +17,7 @@ from .grammar.types import KINDS
 from .objectives import INSTR_IMAGE, INSTR_SUMMARIZE
 from .pipeline import RunConfig, StageResult, encode_pooled
 from .tokenizer import encode
-from .towers import project, vision_forward
+from .towers import frozen, project, vision_forward
 
 RECALL_KS = (1, 5, 10)
 
@@ -77,20 +77,39 @@ def recall_at_k(ranked: list, truth: list, ks=RECALL_KS) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Rows per inference forward. With length-sorted batches on one BLAS thread,
+# Tasks 1-5 and multimodal over 128 studies ran in 1.06 s at 16, against
+# 1.09 s at 8, 1.28 s at 32 and 1.97 s at 64.
+EMBED_BATCH = 16
+
+
 class TextEncoder:
     """Embeds texts with a trained text tower (no projection: text-only
-    tasks compare reports in the tower's own pooled space)."""
+    tasks compare reports in the tower's own pooled space).
+
+    Inference is tape-free: the encoder holds `frozen` views of the
+    parameters. Distinct texts run once each, in length-sorted batches, so
+    a batch carries little padding; rows come back in input order."""
 
     def __init__(self, result: StageResult, lora=None):
-        self.params = result.params
+        self.params = frozen(result.params)
         self.vocab = result.vocab
         self.run = result.config
         self.cfg_text = result.config.text_config(len(result.vocab))
         self.lora = lora
 
-    def embed(self, texts, instruction=None, section=None, batch=64) -> np.ndarray:
-        rows = []
-        for start in range(0, len(texts), batch):
+    def embed(self, texts, instruction=None, section=None) -> np.ndarray:
+        return self._embed(texts, instruction=instruction, section=section)
+
+    def _embed(self, inputs, image=False, instruction=None, section=None, head=None):
+        """(N, d) rows for texts, or for images when `image` is set, in
+        input order. `head` names the projection ("proj_text", "proj_img")
+        that maps rows into the shared space; without one, pooled text rows
+        are L2-normalized."""
+        if image:
+            items = inputs
+            order = source = np.arange(len(inputs))
+        else:
             seqs = [
                 encode(
                     t,
@@ -99,11 +118,30 @@ class TextEncoder:
                     section=section,
                     max_len=self.run.max_len,
                 )
-                for t in texts[start : start + batch]
+                for t in inputs
             ]
-            pooled = encode_pooled(self.params, self.cfg_text, self.run, seqs, lora=self.lora)
-            rows.append(pooled.data)
-        return np.concatenate(rows) if rows else np.zeros((0, self.run.model_dim), np.float32)
+            # a repeated text runs once, so equal texts get equal rows
+            # whatever padding their batches would have had
+            unique = {}
+            source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in seqs]
+            items = [s for _, s in unique.values()]
+            order = np.argsort([len(s.ids) for s in items], kind="stable")
+        dim = self.params[f"{head}.w"].shape[1] if head else self.run.model_dim
+        out = np.empty((len(items), dim), dtype=np.float32)
+        for start in range(0, len(items), EMBED_BATCH):
+            rows = order[start : start + EMBED_BATCH]
+            batch = [items[j] for j in rows]
+            if image:
+                emb = vision_forward(self.params, self.cfg_vision, np.stack(batch))
+            else:
+                emb = encode_pooled(
+                    self.params, self.cfg_text, self.run, batch, lora=self.lora,
+                    normalize=head is None,
+                )
+            if head is not None:
+                emb = project(emb, self.params[f"{head}.w"], self.params[f"{head}.mu"])
+            out[rows] = emb.data
+        return out[np.asarray(source, dtype=np.int64)]
 
 
 class DualEncoder(TextEncoder):
@@ -113,30 +151,17 @@ class DualEncoder(TextEncoder):
         super().__init__(result, lora=result.config.lora_config())
         self.cfg_vision = result.config.vision_config()
 
-    def embed_reports(self, texts, section="findings", batch=64) -> np.ndarray:
-        rows = []
-        instruction = (
-            INSTR_IMAGE.format(section=section) if self.run.section_aware else None
+    def embed_reports(self, texts, section="findings") -> np.ndarray:
+        aware = self.run.section_aware
+        return self._embed(
+            texts,
+            instruction=INSTR_IMAGE.format(section=section) if aware else None,
+            section=section if aware else None,
+            head="proj_text",
         )
-        sec = section if self.run.section_aware else None
-        for start in range(0, len(texts), batch):
-            seqs = [
-                encode(t, self.vocab, instruction=instruction, section=sec, max_len=self.run.max_len)
-                for t in texts[start : start + batch]
-            ]
-            pooled = encode_pooled(
-                self.params, self.cfg_text, self.run, seqs, lora=self.lora, normalize=False
-            )
-            rows.append(project(pooled, self.params["proj_text.w"], self.params["proj_text.mu"]).data)
-        return np.concatenate(rows)
 
-    def embed_images(self, images, batch=64) -> np.ndarray:
-        rows = []
-        for start in range(0, len(images), batch):
-            stack = np.stack(images[start : start + batch])
-            emb = vision_forward(self.params, self.cfg_vision, stack)
-            rows.append(project(emb, self.params["proj_img.w"], self.params["proj_img.mu"]).data)
-        return np.concatenate(rows)
+    def embed_images(self, images) -> np.ndarray:
+        return self._embed(images, image=True, head="proj_img")
 
 
 def hash_embeddings(keys, dim: int = 64, salt: str = "") -> np.ndarray:
@@ -251,13 +276,12 @@ def task3_error_discrimination(encoder, studies) -> dict:
     if not usable:
         raise ValueError("task3: no items with a full candidate set")
     anchors = encoder.embed([s.findings_text for s in usable], instruction=INSTR_SUMMARIZE)
-    correct = 0
-    for i, s in enumerate(usable):
-        cands = [s.impression_text] + [t for _, t in s.errors]
-        emb = encoder.embed(cands)
-        sims = emb @ anchors[i]
-        if int(np.argmax(sims)) == 0:
-            correct += 1
+    cands = []
+    for s in usable:
+        cands += [s.impression_text] + [t for _, t in s.errors]
+    emb = encoder.embed(cands).reshape(len(usable), 4, -1)
+    sims = np.einsum("icd,id->ic", emb, anchors)
+    correct = int((sims.argmax(axis=1) == 0).sum())
     return {"accuracy": correct / len(usable), "excluded": excluded, "items": len(usable)}
 
 

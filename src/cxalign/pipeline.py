@@ -37,6 +37,7 @@ from .towers import (
     TextTowerConfig,
     VisionTowerConfig,
     eligible_mask,
+    frozen,
     init_lora,
     init_projection,
     init_text_tower,
@@ -357,6 +358,7 @@ def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True):
 
 
 def _mntp_val_loss(params, cfg_text, run, val_texts, vocab) -> float:
+    params = frozen(params)
     total, count = 0.0, 0
     bs = run.batch_mntp
     for start in range(0, len(val_texts), bs):
@@ -464,6 +466,7 @@ def encode_pooled(
 
 
 def _supcon_val_loss(params, cfg_text, run, val_pairs, vocab, lora=None) -> float:
+    params = frozen(params)
     total, count = 0.0, 0
     bs = run.batch_contrastive
     for start in range(0, len(val_pairs) - 1, bs):
@@ -618,6 +621,7 @@ def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=25
     starts the heads decorrelated; `mu` stays trainable afterwards.
     """
     probe = items[:limit]
+    view = frozen(params)
     t_rows, v_rows = [], []
     bs = run.batch_clip
     for start in range(0, len(probe), bs):
@@ -625,14 +629,16 @@ def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=25
         seqs = [seq for seq, _ in chunk]
         images = np.stack([img for _, img in chunk])
         t_rows.append(
-            encode_pooled(params, cfg_text, run, seqs, lora=lora, normalize=False).data
+            encode_pooled(view, cfg_text, run, seqs, lora=lora, normalize=False).data
         )
-        v_rows.append(vision_forward(params, cfg_vision, images).data)
+        v_rows.append(vision_forward(view, cfg_vision, images).data)
     params["proj_text.mu"].data = np.concatenate(t_rows).mean(axis=0)
     params["proj_img.mu"].data = np.concatenate(v_rows).mean(axis=0)
 
 
-def _clip_batch_loss(params, cfg_text, cfg_vision, run, lora, items, train, rng):
+def _clip_project(params, cfg_text, cfg_vision, run, lora, items, train, rng):
+    """Projected (image, report) rows of a batch of (token sequence, image)
+    items, in the shared space."""
     seqs = [seq for seq, _ in items]
     images = np.stack([img for _, img in items])
     t_emb = encode_pooled(
@@ -641,7 +647,7 @@ def _clip_batch_loss(params, cfg_text, cfg_vision, run, lora, items, train, rng)
     v_emb = vision_forward(params, cfg_vision, images, train=train, rng=rng)
     t_proj = project(t_emb, params["proj_text.w"], params["proj_text.mu"])
     v_proj = project(v_emb, params["proj_img.w"], params["proj_img.mu"])
-    return clip_loss(v_proj, t_proj, params["clip.log_tau"])
+    return v_proj, t_proj
 
 
 def train_clip(
@@ -709,9 +715,10 @@ def train_clip(
                 rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
                 opt.zero_grad(params)
                 _assert_regime(params)
-                loss = _clip_batch_loss(
+                v_proj, t_proj = _clip_project(
                     params, cfg_text, cfg_vision, run, lora, batch, True, rng_drop
                 )
+                loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
                 value = float(loss.data)
                 _check_loss_finite(value, "clip", step, result, ckpt_path)
                 backward(loss)
@@ -738,24 +745,23 @@ def train_clip(
 
 
 def _clip_val(params, cfg_text, cfg_vision, run, lora, val_items) -> dict:
-    """Validation loss plus recall@{1,5,10} of image→report retrieval."""
+    """Validation loss plus recall@{1,5,10} of image→report retrieval, both
+    from one projection of each batch."""
+    params = frozen(params)
     bs = run.batch_clip
     total, count = 0.0, 0
     t_rows, v_rows = [], []
     for start in range(0, len(val_items), bs):
         batch = val_items[start : start + bs]
+        v_proj, t_proj = _clip_project(
+            params, cfg_text, cfg_vision, run, lora, batch, False, None
+        )
         if len(batch) >= 2:
-            loss = _clip_batch_loss(
-                params, cfg_text, cfg_vision, run, lora, batch, False, None
-            )
+            loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
             total += float(loss.data) * len(batch)
             count += len(batch)
-        seqs = [seq for seq, _ in batch]
-        images = np.stack([img for _, img in batch])
-        t_emb = encode_pooled(params, cfg_text, run, seqs, lora=lora, normalize=False)
-        v_emb = vision_forward(params, cfg_vision, images)
-        t_rows.append(project(t_emb, params["proj_text.w"], params["proj_text.mu"]).data)
-        v_rows.append(project(v_emb, params["proj_img.w"], params["proj_img.mu"]).data)
+        t_rows.append(t_proj.data)
+        v_rows.append(v_proj.data)
     t_mat = np.concatenate(t_rows)
     v_mat = np.concatenate(v_rows)
     sims = v_mat @ t_mat.T

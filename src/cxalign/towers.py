@@ -380,6 +380,13 @@ def trainable_names(params: dict) -> list:
     return sorted(n for n, p in params.items() if p.requires_grad)
 
 
+def frozen(params: dict) -> dict:
+    """Gradient-free views of `params` for forwards that are never
+    differentiated: each view wraps the same array (no copy) with
+    `requires_grad=False`, so no primitive records a tape entry."""
+    return {name: Tensor(p.data) for name, p in params.items()}
+
+
 def set_trainable(params: dict, predicate) -> None:
     for name, p in params.items():
         p.requires_grad = bool(predicate(name))

@@ -59,6 +59,8 @@ def test_gen_corpus_writes_manifest(tmp_path):
     assert manifest["command"] == "gen-corpus"
     assert manifest["seed"] == 1
     assert "numpy" in manifest["versions"] and "cxalign" in manifest["versions"]
+    assert manifest["wall_s"] >= 0
+    assert manifest["peak_rss_mb"] > 0
 
 
 def test_missing_required_args_exit_2(capsys):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cxalign.evals import (
+    EMBED_BATCH,
+    DualEncoder,
     EmbeddingIndex,
     EvalReport,
     JUDGE_WEIGHTS,
@@ -22,6 +24,11 @@ from cxalign.evals import (
 from cxalign.grammar.corpus import generate_corpus
 from cxalign.grammar.render import render_report
 from cxalign.grammar.types import LatentFinding, LatentStudy
+from cxalign.objectives import init_log_tau
+from cxalign.optim import AdamW
+from cxalign.pipeline import RunConfig, StageResult, corpus_vocab
+from cxalign.tokenizer import encode
+from cxalign.towers import init_lora, init_projection, init_text_tower, init_vision_tower
 
 
 def _unit(rows):
@@ -250,3 +257,61 @@ def test_report_json_is_stable():
     rep = EvalReport(tasks={"t": {"accuracy": 0.5}})
     assert json.loads(rep.to_json())["tasks"]["t"]["accuracy"] == 0.5
     assert rep.to_json() == EvalReport.from_json(rep.to_json()).to_json()
+
+
+# ---------------------------------------------------------------------------
+# Encoders
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dual_encoder():
+    """A stage-3 encoder at its random init: no training needed to check
+    batching and row order."""
+    studies = generate_corpus(30, seed=11)
+    run = RunConfig(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4)
+    vocab = corpus_vocab(studies)
+    cfg_text = run.text_config(len(vocab))
+    rng = np.random.default_rng(0)
+    params = init_text_tower(cfg_text, rng)
+    params.update(init_lora(params, cfg_text, run.lora_config(), rng))
+    params.update(init_vision_tower(run.vision_config(), rng))
+    params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng))
+    params.update(init_projection("proj_img", 64, run.shared_dim, rng))
+    params["clip.log_tau"] = init_log_tau()
+    result = StageResult("clip", params, vocab, run, 0, AdamW(group_lrs={"": 1e-3}))
+    return DualEncoder(result), studies
+
+
+def test_embed_rows_follow_input_order(dual_encoder):
+    enc, studies = dual_encoder
+    texts = sorted({t for s in studies for t in (s.findings_text, s.impression_text)})
+    texts = [texts[j] for j in np.random.default_rng(3).permutation(len(texts))]
+    lengths = [len(encode(t, enc.vocab).ids) for t in texts]
+    assert len(texts) > 2 * EMBED_BATCH and lengths != sorted(lengths)
+    for embed in (enc.embed, enc.embed_reports):
+        rows = embed(texts)
+        singles = np.concatenate([embed([t]) for t in texts])
+        np.testing.assert_allclose(rows, singles, atol=1e-5, rtol=0)
+        # distinct texts give distinct rows, so a misplaced row would show
+        assert np.abs(rows[:-1] - rows[1:]).max(axis=1).min() > 1e-3
+    images = [s.image for s in studies]
+    singles = np.concatenate([enc.embed_images([im]) for im in images])
+    np.testing.assert_allclose(enc.embed_images(images), singles, atol=1e-5, rtol=0)
+
+
+def test_repeated_texts_embed_to_identical_rows(dual_encoder):
+    enc, studies = dual_encoder
+    short = min((s.impression_text for s in studies), key=len)
+    texts = [s.findings_text for s in studies] + [short] * (2 * EMBED_BATCH + 3)
+    texts = [texts[j] for j in np.random.default_rng(4).permutation(len(texts))]
+    rows = enc.embed(texts)
+    repeats = rows[[j for j, t in enumerate(texts) if t == short]]
+    assert (repeats == repeats[0]).all()
+
+
+def test_empty_inputs_embed_to_zero_rows(dual_encoder):
+    enc, _ = dual_encoder
+    assert enc.embed([]).shape == (0, enc.run.model_dim)
+    assert enc.embed_reports([]).shape == (0, enc.run.shared_dim)
+    assert enc.embed_images([]).shape == (0, enc.run.shared_dim)

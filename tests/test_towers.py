@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxalign.autodiff import ShapeError, Tensor
+from cxalign.autodiff import NonFiniteError, ShapeError, Tensor
 from cxalign.tokenizer import BOS, EOS, PAD
 from cxalign import towers as tw
 
@@ -212,3 +212,30 @@ def test_project_orthogonality_through_identity(rng):
     x = Tensor(np.array([[2.0, 0, 0, 0], [0, 3.0, 0, 0]], dtype=np.float32))
     out = tw.project(x, head).data
     assert abs(out[0] @ out[1]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Frozen views
+# ---------------------------------------------------------------------------
+
+
+def test_frozen_views_share_memory_and_record_no_tape(params, vparams):
+    view = tw.frozen(params)
+    assert all(np.shares_memory(view[n].data, p.data) for n, p in params.items())
+    assert not any(v.requires_grad for v in view.values())
+    ids = np.concatenate([seq_ids(10, 11, 12), seq_ids(13, 14, 15)])
+    hidden = tw.text_forward(view, CFG, ids)
+    pooled = tw.pool(view, hidden, tw.eligible_mask(ids, [(0, 0), (0, 0)]), "latent")
+    images = np.random.default_rng(2).random((2, 64, 64)).astype(np.float32)
+    vision = tw.vision_forward(tw.frozen(vparams), VCFG, images)
+    for out in (hidden, pooled, vision):
+        assert out._parents == () and not out.requires_grad
+    # the same forward over the trainable parameters does record a tape
+    assert tw.text_forward(params, CFG, ids)._parents
+
+
+def test_frozen_forward_still_rejects_non_finite_weights(params):
+    bad = {n: Tensor(p.data.copy()) for n, p in params.items()}
+    bad["text.l0.wq"].data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        tw.text_forward(tw.frozen(bad), CFG, seq_ids(10, 11, 12))
