@@ -2,11 +2,12 @@
 
 A Tensor wraps an ndarray and remembers the primitive application that
 produced it; backward() replays the graph in reverse topological order.
-The primitive set is fixed: matmul, add, mul, scale, softmax, layer norm,
-embedding lookup, GELU, row L2 normalization, cross entropy from logits,
-dropout, a sum reduction, plus shape plumbing (reshape, transpose,
-concat, row gather). A primitive none of whose inputs requires a gradient
-records nothing, so a forward over `towers.frozen` views builds no graph.
+The primitive set is fixed: matmul, add, mul, scale, a fused affine map
+(linear), softmax, layer norm, embedding lookup, GELU, row L2
+normalization, cross entropy from logits, dropout, a sum reduction, plus
+shape plumbing (reshape, transpose, concat, row gather). A primitive none
+of whose inputs requires a gradient records nothing, so a forward over
+`towers.frozen` views builds no graph.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "linear",
     "reshape",
     "transpose",
     "concat",
@@ -206,6 +208,33 @@ def matmul(a, b) -> Tensor:
     return _track(out, (a, b), bwd)
 
 
+def linear(x, w, b) -> Tensor:
+    """`x @ w + b` for an (..., k) input, a (k, n) weight and an (n,) bias.
+
+    The leading axes of `x` fold into rows, so the forward and each
+    backward product is one 2-D GEMM: the weight gradient is `x^T g` over
+    all rows and the bias gradient one row-sum, with no batched product to
+    reduce afterwards."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} incompatible")
+    _check_finite(x.data, "linear lhs")
+    _check_finite(w.data, "linear rhs")
+    k, n = w.shape
+    rows = x.data.reshape(-1, k)
+    out = rows @ w.data
+    out += b.data
+
+    def bwd(g):
+        g = g.reshape(-1, n)
+        gx = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = rows.T @ g if w.requires_grad else None
+        gb = g.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _track(out.reshape(x.shape[:-1] + (n,)), (x, w, b), bwd)
+
+
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
@@ -305,22 +334,40 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
 
 
 _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
+_GELU_A = np.float32(0.044715)
 
 
 def gelu(a) -> Tensor:
-    """tanh approximation of GELU."""
+    """tanh approximation of GELU, 0.5 x (1 + tanh(c (x + a x^3))).
+
+    Computed in place on two forward arrays (x^2 and the tanh, both kept
+    for backward) and two backward arrays; x*x rather than x**3, because
+    float32 pow is unvectorized and ~8x slower."""
     a = _as_tensor(a)
     x = a.data
-    # x*x*x rather than x**3: float32 pow is unvectorized and ~8x slower
     x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x2 * _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        dt = (1.0 - t * t) * dinner
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+        # d/dx = 0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2))
+        d = x2 * (3 * _GELU_A * _GELU_C)
+        d += _GELU_C
+        d *= x
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        d *= s
+        d += t
+        d += 1.0
+        d *= 0.5
+        d *= g
+        return (d,)
 
     return _track(out, (a,), bwd)
 

@@ -4,6 +4,8 @@ bit-exact."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -77,6 +79,7 @@ def save_checkpoint(path, stage: str, step: int, config_digest: str, arrays: dic
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         if _read(fh, 4) != MAGIC:
             raise CheckpointError(f"{path}: not a CXAL checkpoint (bad magic)")
         (version,) = struct.unpack("<I", _read(fh, 4))
@@ -91,7 +94,10 @@ def load_checkpoint(path) -> Checkpoint:
             name = _read_str(fh)
             (ndim,) = struct.unpack("<B", _read(fh, 1))
             shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(_read(fh, 4 * size), dtype="<f4").reshape(shape)
+            # exact integer size: a corrupt shape can overflow np.prod's int64
+            nbytes = 4 * math.prod(shape)
+            if nbytes > file_size - fh.tell():
+                raise CheckpointError(f"{path}: array {name!r} of shape {shape} exceeds the file")
+            data = np.frombuffer(_read(fh, nbytes), dtype="<f4").reshape(shape)
             arrays[name] = data.astype(np.float32)
     return Checkpoint(stage=stage, step=step, config_digest=digest, arrays=arrays)

@@ -187,17 +187,7 @@ def cmd_eval(args) -> int:
             return 2
         metrics = evals.multimodal_eval(encoder, val, train)
     else:  # judge
-        ranks_truth, flagged = [], 0
-        for s in val:
-            cands = [s.impression_text] + [t for _, t in s.errors]
-            ranks, flags = evals.oracle_judge_rank(s.latent.label_set(), cands)
-            ranks_truth.append(ranks[0])
-            flagged += sum(flags)
-        metrics = {
-            "mean_rank_truth": sum(ranks_truth) / len(ranks_truth),
-            "flagged": flagged,
-            "items": len(val),
-        }
+        metrics = evals.judge_eval(val)
     report = evals.EvalReport(
         {task: metrics},
         config_digest=result.config.digest(),

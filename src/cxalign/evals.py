@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import concat
 from .grammar.labels import extract_labels
 from .grammar.render import render_report
 from .grammar.types import KINDS
 from .objectives import INSTR_IMAGE, INSTR_SUMMARIZE
-from .pipeline import RunConfig, StageResult, encode_pooled
+from .pipeline import GROUP_ROWS, RunConfig, StageResult, encode_pooled
 from .tokenizer import encode
 from .towers import frozen, project, vision_forward
 
@@ -77,19 +78,14 @@ def recall_at_k(ranked: list, truth: list, ks=RECALL_KS) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# Rows per inference forward. With length-sorted batches on one BLAS thread,
-# Tasks 1-5 and multimodal over 128 studies ran in 1.06 s at 16, against
-# 1.09 s at 8, 1.28 s at 32 and 1.97 s at 64.
-EMBED_BATCH = 16
-
-
 class TextEncoder:
     """Embeds texts with a trained text tower (no projection: text-only
     tasks compare reports in the tower's own pooled space).
 
     Inference is tape-free: the encoder holds `frozen` views of the
-    parameters. Distinct texts run once each, in length-sorted batches, so
-    a batch carries little padding; rows come back in input order."""
+    parameters. Distinct texts run once each, batched by
+    `pipeline.encode_pooled`'s length groups; rows come back in input
+    order."""
 
     def __init__(self, result: StageResult, lora=None):
         self.params = frozen(result.params)
@@ -106,9 +102,15 @@ class TextEncoder:
         input order. `head` names the projection ("proj_text", "proj_img")
         that maps rows into the shared space; without one, pooled text rows
         are L2-normalized."""
+        dim = self.params[f"{head}.w"].shape[1] if head else self.run.model_dim
+        if not len(inputs):
+            return np.empty((0, dim), dtype=np.float32)
         if image:
-            items = inputs
-            order = source = np.arange(len(inputs))
+            emb = concat([
+                vision_forward(self.params, self.cfg_vision, np.stack(inputs[i : i + GROUP_ROWS]))
+                for i in range(0, len(inputs), GROUP_ROWS)
+            ])
+            source = np.arange(len(inputs))
         else:
             seqs = [
                 encode(
@@ -121,27 +123,16 @@ class TextEncoder:
                 for t in inputs
             ]
             # a repeated text runs once, so equal texts get equal rows
-            # whatever padding their batches would have had
+            # whatever padding their groups would have had
             unique = {}
             source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in seqs]
-            items = [s for _, s in unique.values()]
-            order = np.argsort([len(s.ids) for s in items], kind="stable")
-        dim = self.params[f"{head}.w"].shape[1] if head else self.run.model_dim
-        out = np.empty((len(items), dim), dtype=np.float32)
-        for start in range(0, len(items), EMBED_BATCH):
-            rows = order[start : start + EMBED_BATCH]
-            batch = [items[j] for j in rows]
-            if image:
-                emb = vision_forward(self.params, self.cfg_vision, np.stack(batch))
-            else:
-                emb = encode_pooled(
-                    self.params, self.cfg_text, self.run, batch, lora=self.lora,
-                    normalize=head is None,
-                )
-            if head is not None:
-                emb = project(emb, self.params[f"{head}.w"], self.params[f"{head}.mu"])
-            out[rows] = emb.data
-        return out[np.asarray(source, dtype=np.int64)]
+            emb = encode_pooled(
+                self.params, self.cfg_text, self.run, [s for _, s in unique.values()],
+                lora=self.lora, normalize=head is None,
+            )
+        if head is not None:
+            emb = project(emb, self.params[f"{head}.w"], self.params[f"{head}.mu"])
+        return emb.data[np.asarray(source, dtype=np.int64)]
 
 
 class DualEncoder(TextEncoder):
@@ -392,6 +383,26 @@ def oracle_judge_rank(truth_labels, candidate_reports) -> tuple:
     flags = [not ok for _, ok in scored]
     ranks = [1 + sum(1 for other in scores if other < s) for s in scores]
     return ranks, flags
+
+
+def judge_eval(studies) -> dict:
+    """Oracle-judge each study's true impression against its tagged-error
+    candidates: the truth's mean rank (1 is best) and the number of
+    unparseable candidates."""
+    if not studies:
+        raise ValueError("judge: no studies")
+    ranks_truth, flagged = [], 0
+    for s in studies:
+        ranks, flags = oracle_judge_rank(
+            s.latent.label_set(), [s.impression_text] + [t for _, t in s.errors]
+        )
+        ranks_truth.append(ranks[0])
+        flagged += sum(flags)
+    return {
+        "mean_rank_truth": sum(ranks_truth) / len(ranks_truth),
+        "flagged": flagged,
+        "items": len(studies),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import add, backward, l2_normalize, matmul
+from .autodiff import add, backward, concat, l2_normalize, linear, scale, take_rows
 from .checkpoint import params_to_arrays, save_checkpoint
 from .objectives import (
     INSTR_IMAGE,
@@ -229,6 +229,37 @@ def pad_batch(seqs) -> tuple[np.ndarray, list]:
     return ids, spans
 
 
+# Rows per text forward. Every text forward, in training and at inference,
+# runs its sequences length-sorted in groups of at most this many rows, so a
+# group carries little padding. See README, "Batching", for its measurement.
+GROUP_ROWS = 8
+
+
+@dataclass
+class TokenCount:
+    """Token positions that text forwards ran, and how many were padding."""
+
+    tokens: int = 0
+    pad_tokens: int = 0
+
+
+def length_groups(params, cfg_text, seqs, lora=None, train=False, rng=None, count=None):
+    """Run `seqs` through the text tower in length-sorted groups.
+
+    Yields `(idx, ids, spans, hidden)` per group: the group's indices into
+    `seqs`, its padded id matrix and instruction spans, and its (g, T, d)
+    hidden states. The sort is stable, so a list already in length order
+    keeps its order. `count` (a TokenCount) adds up the positions run."""
+    order = np.argsort([len(s.ids) for s in seqs], kind="stable")
+    for start in range(0, len(order), GROUP_ROWS):
+        idx = order[start : start + GROUP_ROWS]
+        ids, spans = pad_batch([seqs[j] for j in idx])
+        if count is not None:
+            count.tokens += ids.size
+            count.pad_tokens += int((ids == PAD).sum())
+        yield idx, ids, spans, text_forward(params, cfg_text, ids, lora=lora, train=train, rng=rng)
+
+
 class TrainLog:
     """JSON Lines training log: one record per step plus epoch summaries."""
 
@@ -342,19 +373,25 @@ def bucketed_batches(lengths, bs: int, rng: np.random.Generator, window: int = 4
 # ---------------------------------------------------------------------------
 
 
-def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True):
+def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True, count=None):
+    """Mean cross entropy over every masked token of `seqs`. Each length
+    group's `mntp_loss` enters weighted by its share of the masked tokens."""
     stream = _STREAM_MASK if train else _STREAM_VAL_MASK
     rng_mask = stream_rng(run.seed, stream, step)
     masked = [apply_mntp_mask(s, run.mask_prob, rng_mask) for s in seqs]
-    ids, _ = pad_batch(masked)
+    total = sum(len(s.mask_targets) for s in masked)
     rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
-    hidden = text_forward(params, cfg_text, ids, train=train, rng=rng_drop)
-    logits = add(matmul(hidden, params["mntp.w"]), params["mntp.b"])
-    positions, targets = [], []
-    for b, s in enumerate(masked):
-        positions.extend((b, p) for p in s.mask_positions)
-        targets.extend(s.mask_targets)
-    return mntp_loss(logits, targets, positions, shift=run.mntp_shift)
+    loss = None
+    groups = length_groups(params, cfg_text, masked, train=train, rng=rng_drop, count=count)
+    for idx, _, _, hidden in groups:
+        logits = linear(hidden, params["mntp.w"], params["mntp.b"])
+        group = [masked[j] for j in idx]
+        positions = [(b, p) for b, s in enumerate(group) for p in s.mask_positions]
+        targets = [t for s in group for t in s.mask_targets]
+        part = mntp_loss(logits, targets, positions, shift=run.mntp_shift)
+        part = scale(part, len(targets) / total)
+        loss = part if loss is None else add(loss, part)
+    return loss
 
 
 def _mntp_val_loss(params, cfg_text, run, val_texts, vocab) -> float:
@@ -420,7 +457,8 @@ def train_mntp(
                     return result
                 seqs = [all_seqs[j] for j in batch_ids]
                 opt.zero_grad(params)
-                loss = _mntp_step_loss(params, cfg_text, run, seqs, step)
+                count = TokenCount()
+                loss = _mntp_step_loss(params, cfg_text, run, seqs, step, count=count)
                 value = float(loss.data)
                 _check_loss_finite(value, "mntp", step, result, ckpt_path)
                 backward(loss)
@@ -429,6 +467,7 @@ def train_mntp(
                 log.write(
                     step=step, stage="mntp", loss=value,
                     lr=run.lr_mntp * opt.lr_scale, tau=None,
+                    tokens=count.tokens, pad_tokens=count.pad_tokens,
                 )
                 step += 1
             val = _mntp_val_loss(params, cfg_text, run, val_texts, vocab)
@@ -456,12 +495,20 @@ def encode_pooled(
     train=False,
     rng=None,
     normalize=True,
+    count=None,
 ):
-    """Forward + pool (+ L2 normalization) for a batch of token sequences."""
-    ids, spans = pad_batch(seqs)
-    hidden = text_forward(params, cfg_text, ids, lora=lora, train=train, rng=rng)
-    elig = eligible_mask(ids, spans)
-    pooled = pool(params, hidden, elig, run.pooling)
+    """Pooled (and L2-normalized) rows of token sequences, in input order,
+    from length-grouped forwards (`length_groups`)."""
+    parts, order = [], []
+    for idx, ids, spans, hidden in length_groups(
+        params, cfg_text, seqs, lora=lora, train=train, rng=rng, count=count
+    ):
+        parts.append(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
+        order.append(idx)
+    pooled = concat(parts) if len(parts) > 1 else parts[0]
+    order = np.concatenate(order)
+    if np.any(order != np.arange(len(order))):
+        pooled = take_rows(pooled, np.argsort(order))
     return l2_normalize(pooled) if normalize else pooled
 
 
@@ -536,8 +583,13 @@ def train_contrastive(
                 pos = [positive_seqs[j] for j in ids]
                 rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
                 opt.zero_grad(params)
-                ae = encode_pooled(params, cfg_text, run, a, lora=lora, train=True, rng=rng_drop)
-                pe = encode_pooled(params, cfg_text, run, pos, lora=lora, train=True, rng=rng_drop)
+                count = TokenCount()
+                ae = encode_pooled(
+                    params, cfg_text, run, a, lora=lora, train=True, rng=rng_drop, count=count
+                )
+                pe = encode_pooled(
+                    params, cfg_text, run, pos, lora=lora, train=True, rng=rng_drop, count=count
+                )
                 loss = supcon_loss(ae, pe, [pairs[j].label_key for j in ids], tau=run.supcon_tau)
                 value = float(loss.data)
                 _check_loss_finite(value, "contrastive", step, result, ckpt_path)
@@ -547,6 +599,7 @@ def train_contrastive(
                 log.write(
                     step=step, stage="contrastive", loss=value,
                     lr=run.lr_text * opt.lr_scale, tau=None,
+                    tokens=count.tokens, pad_tokens=count.pad_tokens,
                 )
                 step += 1
             val = _supcon_val_loss(params, cfg_text, run, val_pairs, vocab, lora=lora)
@@ -622,27 +675,25 @@ def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=25
     """
     probe = items[:limit]
     view = frozen(params)
-    t_rows, v_rows = [], []
+    seqs = [seq for seq, _ in probe]
+    t_rows = encode_pooled(view, cfg_text, run, seqs, lora=lora, normalize=False).data
     bs = run.batch_clip
-    for start in range(0, len(probe), bs):
-        chunk = probe[start : start + bs]
-        seqs = [seq for seq, _ in chunk]
-        images = np.stack([img for _, img in chunk])
-        t_rows.append(
-            encode_pooled(view, cfg_text, run, seqs, lora=lora, normalize=False).data
-        )
-        v_rows.append(vision_forward(view, cfg_vision, images).data)
-    params["proj_text.mu"].data = np.concatenate(t_rows).mean(axis=0)
+    v_rows = [
+        vision_forward(view, cfg_vision, np.stack([img for _, img in probe[i : i + bs]])).data
+        for i in range(0, len(probe), bs)
+    ]
+    params["proj_text.mu"].data = t_rows.mean(axis=0)
     params["proj_img.mu"].data = np.concatenate(v_rows).mean(axis=0)
 
 
-def _clip_project(params, cfg_text, cfg_vision, run, lora, items, train, rng):
+def _clip_project(params, cfg_text, cfg_vision, run, lora, items, train, rng, count=None):
     """Projected (image, report) rows of a batch of (token sequence, image)
     items, in the shared space."""
     seqs = [seq for seq, _ in items]
     images = np.stack([img for _, img in items])
     t_emb = encode_pooled(
-        params, cfg_text, run, seqs, lora=lora, train=train, rng=rng, normalize=False
+        params, cfg_text, run, seqs, lora=lora, train=train, rng=rng, normalize=False,
+        count=count,
     )
     v_emb = vision_forward(params, cfg_vision, images, train=train, rng=rng)
     t_proj = project(t_emb, params["proj_text.w"], params["proj_text.mu"])
@@ -715,8 +766,9 @@ def train_clip(
                 rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
                 opt.zero_grad(params)
                 _assert_regime(params)
+                count = TokenCount()
                 v_proj, t_proj = _clip_project(
-                    params, cfg_text, cfg_vision, run, lora, batch, True, rng_drop
+                    params, cfg_text, cfg_vision, run, lora, batch, True, rng_drop, count
                 )
                 loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
                 value = float(loss.data)
@@ -730,6 +782,7 @@ def train_clip(
                 log.write(
                     step=step, stage="clip", loss=value,
                     lr=run.lr_projection * opt.lr_scale, tau=tau,
+                    tokens=count.tokens, pad_tokens=count.pad_tokens,
                 )
                 step += 1
             val = _clip_val(params, cfg_text, cfg_vision, run, lora, val_items)

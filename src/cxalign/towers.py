@@ -25,6 +25,7 @@ from .autodiff import (
     gelu,
     l2_normalize,
     layer_norm,
+    linear,
     matmul,
     mul,
     reshape,
@@ -207,7 +208,7 @@ def lora_merge(params: dict, lora: LoraConfig) -> dict:
 
 def _linear(params, name, x, lora: LoraConfig | None, train, rng):
     prefix, w = name.rsplit(".", 1)
-    y = add(matmul(x, params[name]), params[f"{prefix}.b{w[1]}"])
+    y = linear(x, params[name], params[f"{prefix}.b{w[1]}"])
     a_key = f"lora.{name}.A"
     if lora is not None and a_key in params:
         xa = dropout(x, lora.dropout, rng, train) if train else x
@@ -325,8 +326,8 @@ def pool(params: dict, hidden: Tensor, elig: np.ndarray, mode: str) -> Tensor:
     lat = params["pool.latent"]  # (r, d)
     scores = scale(matmul(hidden, transpose(lat, (1, 0))), 1.0 / math.sqrt(d))
     ctx = matmul(softmax(scores), lat)  # (B,T,d)
-    h = gelu(add(matmul(ctx, params["pool.w1"]), params["pool.b1"]))
-    h = add(matmul(h, params["pool.w2"]), params["pool.b2"])
+    h = gelu(linear(ctx, params["pool.w1"], params["pool.b1"]))
+    h = linear(h, params["pool.w2"], params["pool.b2"])
     return reshape(matmul(Tensor(weights), h), (B, d))
 
 
@@ -351,7 +352,7 @@ def vision_forward(
         )
     B = images.shape[0]
     patches = patchify(images, cfg.patch_size)
-    x = add(matmul(Tensor(patches), params["vision.patch_w"]), params["vision.patch_b"])
+    x = linear(patches, params["vision.patch_w"], params["vision.patch_b"])
     cls = add(Tensor(np.zeros((B, 1, cfg.model_dim), dtype=np.float32)), params["vision.cls"])
     x = concat([cls, x], axis=1)
     T = cfg.n_patches + 1

@@ -206,6 +206,63 @@ def test_rotary_scores_depend_on_offset_only(rng):
     assert abs(score(0, 0) - float(q @ k)) < 1e-5
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_linear_gradients(rng, shape):
+    x, w, b = leaf(rng, *shape), leaf(rng, 4, 3), leaf(rng, 3)
+    probe = Tensor(rng.normal(size=shape[:-1] + (3,)).astype(np.float32))
+    check_grad(lambda t: ad.sum_(ad.mul(ad.linear(t, w, b), probe)), x)
+    check_grad(lambda t: ad.sum_(ad.mul(ad.linear(x, t, b), probe)), w)
+    check_grad(lambda t: ad.sum_(ad.mul(ad.linear(x, w, t), probe)), b)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_linear_matches_matmul_add(rng, shape):
+    """Same values and gradients as the unfused ops; the weight gradient
+    sums its rows in another order, so a float32 tolerance applies."""
+    probe = Tensor(rng.normal(size=shape[:-1] + (3,)).astype(np.float32))
+    grads = []
+    for fused in (True, False):
+        r = np.random.default_rng(1)
+        x, w, b = leaf(r, *shape), leaf(r, 4, 3), leaf(r, 3)
+        y = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+        backward(ad.sum_(ad.mul(y, probe)))
+        grads.append([y.data, x.grad, w.grad, b.grad])
+    for fused, ref in zip(*grads):
+        np.testing.assert_allclose(fused, ref, rtol=1e-5, atol=1e-6)
+
+
+def test_linear_frozen_operands_get_no_gradient(rng):
+    x, w, b = leaf(rng, 2, 3, 4), Tensor(rng.normal(size=(4, 3)).astype(np.float32)), leaf(rng, 3)
+    backward(ad.sum_(ad.linear(x, w, b)))
+    assert w.grad is None and x.grad is not None and b.grad is not None
+    x, w, b = Tensor(x.data), leaf(rng, 4, 3), Tensor(b.data)
+    backward(ad.sum_(ad.linear(x, w, b)))
+    assert x.grad is None and b.grad is None and w.grad is not None
+    frozen = ad.linear(Tensor(x.data), Tensor(w.data), Tensor(b.data))
+    assert not frozen.requires_grad and frozen._bwd is None
+
+
+def test_linear_rejects_bad_shapes_and_nonfinite(rng):
+    with pytest.raises(ad.ShapeError):
+        ad.linear(leaf(rng, 2, 4), leaf(rng, 3, 3), leaf(rng, 3))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(leaf(rng, 2, 4), leaf(rng, 4, 3), leaf(rng, 4))
+    for operand in (0, 1):
+        args = [rng.normal(size=(2, 4)), rng.normal(size=(4, 3)), np.zeros(3)]
+        args[operand][0, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError):
+            ad.linear(*args)
+
+
+def test_gelu_matches_tanh_form_without_overflow():
+    x = np.linspace(-100.0, 100.0, 20_001).astype(np.float32)
+    x64 = x.astype(np.float64)
+    ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)))
+    with np.errstate(all="raise"):
+        out = ad.gelu(x).data
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 8), st.integers(0, 10_000))
 def test_softmax_gradient_property(rows, cols, seed):

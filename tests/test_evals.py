@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from cxalign.evals import (
-    EMBED_BATCH,
     DualEncoder,
     EmbeddingIndex,
     EvalReport,
     JUDGE_WEIGHTS,
     entity_f1,
     hash_embeddings,
+    judge_eval,
     judge_score,
     macro_f1_kinds,
     oracle_judge_rank,
@@ -26,7 +26,7 @@ from cxalign.grammar.render import render_report
 from cxalign.grammar.types import LatentFinding, LatentStudy
 from cxalign.objectives import init_log_tau
 from cxalign.optim import AdamW
-from cxalign.pipeline import RunConfig, StageResult, corpus_vocab
+from cxalign.pipeline import GROUP_ROWS, RunConfig, StageResult, corpus_vocab
 from cxalign.tokenizer import encode
 from cxalign.towers import init_lora, init_projection, init_text_tower, init_vision_tower
 
@@ -171,6 +171,22 @@ def test_judge_rank_tie_scheme(two_finding_study):
     assert flags == [False, False, False, True]
 
 
+def test_judge_eval_ranks_truth_and_rejects_empty_input():
+    studies = generate_corpus(20, seed=12)
+    metrics = judge_eval(studies)
+    ranks = [
+        oracle_judge_rank(s.latent.label_set(), [s.impression_text] + [t for _, t in s.errors])
+        for s in studies
+    ]
+    assert metrics == {
+        "mean_rank_truth": sum(r[0] for r, _ in ranks) / len(studies),
+        "flagged": sum(sum(f) for _, f in ranks),
+        "items": len(studies),
+    }
+    with pytest.raises(ValueError, match="no studies"):
+        judge_eval([])
+
+
 def test_judge_rank_order_invariant(two_finding_study):
     s = two_finding_study
     a, b = s.findings
@@ -288,7 +304,7 @@ def test_embed_rows_follow_input_order(dual_encoder):
     texts = sorted({t for s in studies for t in (s.findings_text, s.impression_text)})
     texts = [texts[j] for j in np.random.default_rng(3).permutation(len(texts))]
     lengths = [len(encode(t, enc.vocab).ids) for t in texts]
-    assert len(texts) > 2 * EMBED_BATCH and lengths != sorted(lengths)
+    assert len(texts) > 2 * GROUP_ROWS and lengths != sorted(lengths)
     for embed in (enc.embed, enc.embed_reports):
         rows = embed(texts)
         singles = np.concatenate([embed([t]) for t in texts])
@@ -303,7 +319,7 @@ def test_embed_rows_follow_input_order(dual_encoder):
 def test_repeated_texts_embed_to_identical_rows(dual_encoder):
     enc, studies = dual_encoder
     short = min((s.impression_text for s in studies), key=len)
-    texts = [s.findings_text for s in studies] + [short] * (2 * EMBED_BATCH + 3)
+    texts = [s.findings_text for s in studies] + [short] * (2 * GROUP_ROWS + 3)
     texts = [texts[j] for j in np.random.default_rng(4).permutation(len(texts))]
     rows = enc.embed(texts)
     repeats = rows[[j for j, t in enumerate(texts) if t == short]]

@@ -8,6 +8,8 @@ import struct
 import numpy as np
 import pytest
 
+from cxalign import pipeline
+from cxalign.autodiff import add, backward, l2_normalize, matmul
 from cxalign.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -16,17 +18,22 @@ from cxalign.checkpoint import (
 )
 from cxalign.grammar.corpus import generate_corpus
 from cxalign.optim import DivergenceError
+from cxalign.objectives import build_contrastive_pairs, mntp_loss, supcon_loss
 from cxalign.pipeline import (
     CLIP_TRAINABLE_PREFIXES,
+    GROUP_ROWS,
     RegimeViolationError,
     RunConfig,
     StageResult,
     TrainLog,
     _assert_regime,
     _check_loss_finite,
+    _mntp_step_loss,
     bucketed_batches,
     corpus_vocab,
+    encode_pooled,
     load_stage,
+    pad_batch,
     save_stage,
     split_corpus,
     stream_rng,
@@ -34,6 +41,10 @@ from cxalign.pipeline import (
     train_contrastive,
     train_mntp,
 )
+from cxalign.tokenizer import PAD, apply_mntp_mask, encode
+from cxalign.towers import eligible_mask, init_text_tower, pool, text_forward
+
+from conftest import rel_error
 
 
 TINY = dict(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=32,
@@ -172,6 +183,144 @@ def test_checkpoint_bad_magic_and_version(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<I", 99) + blob[8:])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_overflowing_shape_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "m.cxal"
+    save_checkpoint(path, "mntp", 1, "0" * 16, _arrays())
+    blob = bytearray(path.read_bytes())
+    dims = blob.index(b"w.a") + 3 + 1  # past the name and the ndim byte
+    assert blob[dims - 1] == 2
+    blob[dims : dims + 8] = struct.pack("<2I", 0xFFFFFFFF, 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="exceeds the file"):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Length-grouped text forwards
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tower(corpus):
+    run = RunConfig(**TINY)
+    vocab = corpus_vocab(corpus)
+    cfg = run.text_config(len(vocab))
+    params = init_text_tower(cfg, np.random.default_rng(0))
+    # distinct sequences of mixed lengths: findings, impressions and
+    # instructed anchors, shuffled
+    seqs = [encode(s.findings_text, vocab) for s in corpus[:12]]
+    seqs += [encode(s.impression_text, vocab) for s in corpus[:12]]
+    pairs = build_contrastive_pairs(corpus[:6], np.random.default_rng(1))
+    seqs += [encode(p.anchor_text, vocab, instruction=p.instruction) for p in pairs]
+    seqs = list({tuple(s.ids): s for s in seqs}.values())
+    seqs = [seqs[j] for j in np.random.default_rng(2).permutation(len(seqs))]
+    return run, cfg, params, seqs
+
+
+def _one_batch_pooled(params, cfg, run, seqs):
+    """Reference: every sequence in one padded forward."""
+    ids, spans = pad_batch(seqs)
+    hidden = text_forward(params, cfg, ids)
+    return l2_normalize(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
+
+
+def _one_batch_mntp_loss(params, cfg, run, seqs, step):
+    """Reference: the MNTP step loss from one padded forward."""
+    rng = stream_rng(run.seed, pipeline._STREAM_MASK, step)
+    masked = [apply_mntp_mask(s, run.mask_prob, rng) for s in seqs]
+    ids, _ = pad_batch(masked)
+    logits = add(matmul(text_forward(params, cfg, ids), params["mntp.w"]), params["mntp.b"])
+    positions = [(b, p) for b, s in enumerate(masked) for p in s.mask_positions]
+    targets = [t for s in masked for t in s.mask_targets]
+    return mntp_loss(logits, targets, positions, shift=run.mntp_shift)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "latent"])
+def test_grouped_rows_match_one_padded_batch(tower, pooling):
+    run, cfg, params, seqs = tower
+    run = RunConfig(**{**TINY, "pooling": pooling})
+    lengths = [len(s.ids) for s in seqs]
+    assert len(seqs) > 2 * GROUP_ROWS and lengths != sorted(lengths)
+    rows = encode_pooled(params, cfg, run, seqs).data
+    ref = _one_batch_pooled(params, cfg, run, seqs).data
+    np.testing.assert_allclose(rows, ref, atol=1e-5, rtol=0)
+    # neighbouring rows differ by far more than atol, so a misplaced row
+    # would show
+    assert np.abs(rows[:-1] - rows[1:]).max(axis=1).min() > 1e-4
+
+
+def _grads(params, loss):
+    for p in params.values():
+        p.grad = None
+    backward(loss)
+    return {n: p.grad for n, p in params.items() if p.grad is not None}
+
+
+# Grouping changes only the padding each row's forward sums over, so the
+# float32 results agree to a few ulps of the largest entry.
+GROUPED_RTOL = 1e-4
+
+
+def test_grouped_supcon_gradients_match_one_padded_batch(tower):
+    run, cfg, params, seqs = tower
+    half = len(seqs) // 2
+    anchors, positives = seqs[:half], seqs[half : 2 * half]
+    labels = [j % 5 for j in range(half)]
+    losses, grads = [], []
+    for embed in (encode_pooled, _one_batch_pooled):
+        loss = supcon_loss(
+            embed(params, cfg, run, anchors), embed(params, cfg, run, positives), labels
+        )
+        losses.append(float(loss.data))
+        grads.append(_grads(params, loss))
+    assert losses[0] == pytest.approx(losses[1], rel=GROUPED_RTOL)
+    assert grads[0].keys() == grads[1].keys() and grads[0]
+    for name, g in grads[0].items():
+        assert rel_error(g, grads[1][name]) <= GROUPED_RTOL, name
+
+
+def test_grouped_mntp_step_loss_matches_one_padded_batch(tower):
+    run, cfg, params, seqs = tower
+    loss = _mntp_step_loss(params, cfg, run, seqs, step=3)
+    ref = _one_batch_mntp_loss(params, cfg, run, seqs, step=3)
+    assert float(loss.data) == pytest.approx(float(ref.data), rel=GROUPED_RTOL)
+    grads, ref_grads = _grads(params, loss), _grads(params, ref)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert rel_error(g, ref_grads[name]) <= GROUPED_RTOL, name
+
+
+def test_step_log_counts_the_tokens_the_forwards_ran(corpus, monkeypatch):
+    """Each step record's `tokens` and `pad_tokens` equal the positions
+    and padding of that step's training forwards."""
+    steps, widths, pending = [], [], [0, 0, set()]
+
+    def spy_forward(params, cfg, ids, **kwargs):
+        if kwargs.get("train"):
+            pending[0] += ids.size
+            pending[1] += int((ids == PAD).sum())
+            pending[2].add(ids.shape[1])
+        return text_forward(params, cfg, ids, **kwargs)
+
+    def spy_backward(loss):
+        steps.append(tuple(pending[:2]))
+        widths.append(pending[2])
+        pending[:] = [0, 0, set()]
+        return backward(loss)
+
+    monkeypatch.setattr(pipeline, "text_forward", spy_forward)
+    monkeypatch.setattr(pipeline, "backward", spy_backward)
+    run = RunConfig(**{**TINY, "batch_mntp": 24, "batch_contrastive": 24, "batch_clip": 24})
+    r1 = train_mntp(corpus, run)
+    r2 = train_contrastive(corpus, run, init=r1)
+    r3 = train_clip(corpus, run, text_init=r2)
+    logged = [(r["tokens"], r["pad_tokens"]) for r in r1.log + r2.log + r3.log if "loss" in r]
+    assert logged == steps
+    # mixed-length batches: some step ran groups of different widths
+    assert any(len(w) > 1 for w in widths)
+    assert all(0 <= pad < tok for tok, pad in logged)
 
 
 # ---------------------------------------------------------------------------
