@@ -17,12 +17,37 @@ import time
 
 
 def _cap_threads() -> None:
-    """CXAL_THREADS caps BLAS parallelism; must be set before numpy loads,
-    so heavy modules are imported lazily inside the command handlers."""
+    """Process settings that must precede numpy: CXAL_THREADS caps BLAS
+    parallelism (so heavy modules are imported lazily inside the command
+    handlers), and `_keep_freed_memory` pins the allocator."""
     cap = os.environ.get("CXAL_THREADS")
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, cap)
+    _keep_freed_memory()
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc reuse freed arrays instead of handing them back to the OS.
+
+    Every step allocates and frees the same activations and gradients.
+    With glibc's sliding thresholds many of them are fresh mmaps or heap
+    growth after a trim, so each step faults their pages in again: a
+    128-study train pass took ~730k page faults and ~2 s of system time,
+    whose cost rises and falls with the machine's memory load. Fixed
+    thresholds (mmap above 32 MB, trim above 128 MB) cut that to ~60k
+    faults with the same peak RSS. No-op off glibc."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _sha256_file(path) -> str:

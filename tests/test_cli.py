@@ -2,10 +2,16 @@
 tiny corpus, plus manifests, determinism, and exit codes."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cxalign
 from cxalign.cli import main
 
 
@@ -61,6 +67,47 @@ def test_gen_corpus_writes_manifest(tmp_path):
     assert "numpy" in manifest["versions"] and "cxalign" in manifest["versions"]
     assert manifest["wall_s"] >= 0
     assert manifest["peak_rss_mb"] > 0
+
+
+# A step that keeps 1-16 MB activations while it makes larger ones, run 20
+# times after one warm-up; prints the page faults of those 20 steps.
+_ALLOC_STEPS = """
+import resource, sys
+from cxalign.cli import _keep_freed_memory
+if sys.argv[1] == "keep":
+    _keep_freed_memory()
+import numpy as np
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def step():
+    kept = [np.ones(n << 18, np.float32) for n in (1, 2, 4, 8, 16)]
+    del kept
+
+step()
+f0 = faults()
+for _ in range(20):
+    step()
+print(faults() - f0)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_keep_freed_memory_reuses_freed_arrays():
+    src = str(Path(cxalign.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def faults(mode):
+        out = subprocess.run(
+            [sys.executable, "-c", _ALLOC_STEPS, mode], env=env, capture_output=True, text=True, check=True
+        )
+        return int(out.stdout)
+
+    # glibc's sliding thresholds hand some of these arrays back and fault
+    # them in again; pinned thresholds reuse them all
+    assert faults("default") > 200
+    assert faults("keep") < 20
 
 
 def test_missing_required_args_exit_2(capsys):
