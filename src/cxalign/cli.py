@@ -128,6 +128,12 @@ def cmd_train(args) -> int:
         train_mntp,
     )
 
+    if args.stage == "mntp" and args.init:
+        print("train mntp: --init is not accepted (stage 1 starts fresh)", file=sys.stderr)
+        return 2
+    if args.stage == "clip" and not args.init:
+        print("train clip: --init (stage-2 run directory) is required", file=sys.stderr)
+        return 2
     run = _load_config(args.config, args.seed)
     studies = read_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
@@ -138,9 +144,6 @@ def cmd_train(args) -> int:
     elif args.stage == "contrastive":
         result = train_contrastive(studies, run, init=init, log_path=log_path)
     else:
-        if init is None:
-            print("train clip: --init (stage-2 run directory) is required", file=sys.stderr)
-            return 2
         result = train_clip(studies, run, text_init=init, log_path=log_path)
     save_stage(result, args.out)
     inputs = [args.corpus] + ([os.path.join(args.init, "model.cxal")] if args.init else [])

@@ -7,7 +7,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import os
+import time
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,14 +96,12 @@ class RunConfig:
     lr_mntp: float = 1e-3
     lr_text: float = 3e-4
     lr_projection: float = 3e-4
-    lr_schedule: str = "cosine"
     seed: int = 4096
     mask_prob: float = 0.2
     section_aware: bool = False
     mask_mode: str = "bidirectional"
     pooling: str = "mean"
     mntp_shift: bool = True
-    stage2_lora_only: bool = False
     supcon_tau: float = 0.07
     layers: int = 2
     model_dim: int = 64
@@ -128,10 +128,11 @@ class RunConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
+        for name in ("batch_contrastive", "batch_clip"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"RunConfig.{name} must be at least 2: a batch needs a negative")
         if not 0.0 < self.mask_prob < 1.0:
             raise ValueError("mask_prob must be in (0, 1)")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.mask_mode not in ("bidirectional", "causal"):
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
         if self.pooling not in ("mean", "latent"):
@@ -163,7 +164,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        doc = json.loads(text)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"RunConfig: unknown keys {unknown}")
+        return cls(**doc)
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -175,9 +180,9 @@ def stream_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream, step])
 
 
-def _lr_scale(run: RunConfig, step: int, total_steps: int) -> float:
+def _lr_scale(step: int, total_steps: int) -> float:
     """Cosine multiplier on the stage learning rate (1 at step 0, →0 at end)."""
-    if run.lr_schedule == "constant" or total_steps <= 1:
+    if total_steps <= 1:
         return 1.0
     frac = min(step, total_steps) / total_steps
     return 0.5 * (1.0 + math.cos(math.pi * frac))
@@ -305,8 +310,6 @@ class StageResult:
 def save_stage(result: StageResult, dirpath) -> None:
     """Persist a stage result as a run directory: config, vocabulary,
     checkpoint with optimizer state."""
-    import os
-
     os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, "config.json"), "w") as fh:
         fh.write(result.config.to_json() + "\n")
@@ -315,8 +318,6 @@ def save_stage(result: StageResult, dirpath) -> None:
 
 
 def load_stage(dirpath) -> StageResult:
-    import os
-
     from .checkpoint import load_checkpoint
 
     with open(os.path.join(dirpath, "config.json")) as fh:
@@ -325,13 +326,8 @@ def load_stage(dirpath) -> StageResult:
     ck = load_checkpoint(os.path.join(dirpath, "model.cxal"))
     if ck.config_digest != run.digest():
         raise ValueError(f"{dirpath}: checkpoint config digest mismatch")
-    if ck.stage == "clip":
-        trainable = lambda n: n.startswith(CLIP_TRAINABLE_PREFIXES)  # noqa: E731
-    else:
-        trainable = lambda n: True  # noqa: E731
-    params = ck.params(trainable)
-    lr = {"mntp": run.lr_mntp, "contrastive": run.lr_text}.get(ck.stage, run.lr_projection)
-    opt = AdamW(group_lrs={"": lr})
+    params = ck.params(lambda n: _trains(ck.stage, n))
+    opt = AdamW(group_lrs=_stage_lrs(ck.stage, run))
     opt.load_state_arrays(ck.optimizer_arrays())
     return StageResult(ck.stage, params, vocab, run, ck.step, opt)
 
@@ -347,8 +343,10 @@ def _check_loss_finite(value: float, stage: str, step: int, result: StageResult,
     )
 
 
-def _epoch_order(seed: int, stage: str, epoch: int, n: int) -> np.ndarray:
-    return stream_rng(seed, _STREAM_ORDER[stage], epoch).permutation(n)
+def _require_val(stage: str, n_items: int, need: int) -> None:
+    """Refuse, before any step, a validation split too small to score."""
+    if n_items < need:
+        raise ValueError(f"{stage}: validation split of {n_items} items; scoring needs {need}")
 
 
 def bucketed_batches(lengths, bs: int, rng: np.random.Generator, window: int = 4) -> list:
@@ -366,6 +364,125 @@ def bucketed_batches(lengths, bs: int, rng: np.random.Generator, window: int = 4
         block = block[rng.permutation(len(block))]
         batches.extend(block[i : i + bs] for i in range(0, len(block), bs))
     return [batches[i] for i in rng.permutation(len(batches))]
+
+
+# ---------------------------------------------------------------------------
+# Stage regimes and the step driver
+# ---------------------------------------------------------------------------
+
+# What stage 3 trains; it freezes the text base.
+CLIP_TRAINABLE_PREFIXES = ("lora.", "proj_text", "proj_img", "vision.", "clip.log_tau")
+
+
+def _trains(stage: str, name: str) -> bool:
+    """Whether `stage` trains parameter `name`: stages 1 and 2 train every
+    parameter, stage 3 those under CLIP_TRAINABLE_PREFIXES."""
+    return stage != "clip" or name.startswith(CLIP_TRAINABLE_PREFIXES)
+
+
+def _stage_lrs(stage: str, run: RunConfig) -> dict:
+    """The learning-rate groups of a stage's optimizer; step records report
+    the "" group's rate."""
+    if stage == "clip":
+        return {"": run.lr_projection, "lora.": run.lr_text}
+    return {"": run.lr_mntp if stage == "mntp" else run.lr_text}
+
+
+def _assert_regime(params, stage: str = "clip") -> None:
+    expected = {n for n in params if _trains(stage, n)}
+    actual = set(trainable_names(params))
+    if actual != expected:
+        raise RegimeViolationError(
+            f"{stage}: trainable census mismatch: extra={sorted(actual - expected)} "
+            f"missing={sorted(expected - actual)}"
+        )
+
+
+def _assert_frozen_untouched(params, stage: str) -> None:
+    touched = [n for n, p in params.items() if not _trains(stage, n) and p.grad is not None]
+    if touched:
+        raise RegimeViolationError(f"{stage}: gradient reached frozen parameters: {touched}")
+
+
+def _grad_norm(params) -> float:
+    """Global L2 norm of the gradients an optimizer step applies."""
+    grads = [p.grad for p in params.values() if p.requires_grad and p.grad is not None]
+    return math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads))
+
+
+def _tau(params) -> float | None:
+    """Stage 3's clamped temperature; None in the stages without one."""
+    if "clip.log_tau" not in params:
+        return None
+    return 1.0 / float(inverse_tau(float(params["clip.log_tau"].data[0])).data[0])
+
+
+def _train_stage(
+    stage: str, run: RunConfig, vocab: Vocabulary, params: dict, n_items: int,
+    batches, step_loss, validate, log_path=None, ckpt_path=None,
+    stop_after: int | None = None, resume: StageResult | None = None,
+) -> StageResult:
+    """The training loop of every stage. The stage supplies its parameters,
+    its number of training items, `batches(epoch)`, `step_loss(batch, step,
+    count)` giving a batch's loss Tensor, and `validate()` giving
+    {"val_loss": ..., ...}; its trainable set, learning rates, epochs and
+    batch size follow from `stage` and `run`. The cosine schedule spans
+    epochs × ceil(n_items / batch) steps, batches a stage skips included.
+    `resume` continues a partial result; `stop_after` ends before that step.
+    """
+    set_trainable(params, lambda n: _trains(stage, n))
+    if resume is not None:
+        if resume.config.digest() != run.digest():
+            raise ValueError("resume refused: config digest mismatch")
+        opt, start_step = resume.optimizer, resume.step
+    else:
+        opt, start_step = AdamW(group_lrs=_stage_lrs(stage, run)), 0
+    log = TrainLog(log_path)
+    result = StageResult(stage, params, vocab, run, start_step, opt, log.records)
+    epochs, bs = getattr(run, f"epochs_{stage}"), getattr(run, f"batch_{stage}")
+    total_steps = epochs * math.ceil(n_items / bs)
+    step = 0
+    try:
+        for epoch in range(epochs):
+            epoch_start = time.perf_counter()
+            for batch in batches(epoch):
+                if step < start_step:
+                    step += 1
+                    continue
+                if stop_after is not None and step >= stop_after:
+                    return result
+                step_start = time.perf_counter()
+                opt.zero_grad(params)
+                _assert_regime(params, stage)
+                count = TokenCount()
+                loss = step_loss(batch, step, count)
+                value = float(loss.data)
+                _check_loss_finite(value, stage, step, result, ckpt_path)
+                backward(loss)
+                _assert_frozen_untouched(params, stage)
+                grad_norm = _grad_norm(params)
+                opt.lr_scale = _lr_scale(step, total_steps)
+                opt.step(params)
+                log.write(
+                    step=step, stage=stage, loss=value,
+                    lr=opt.group_lrs[""] * opt.lr_scale, tau=_tau(params),
+                    tokens=count.tokens, pad_tokens=count.pad_tokens,
+                    grad_norm=grad_norm, step_s=time.perf_counter() - step_start,
+                )
+                step += 1
+                result.step = step
+            # an epoch that ended before `start_step` was validated by the
+            # run being resumed
+            if start_step == 0 or step > start_step:
+                val = validate()
+                _check_loss_finite(val["val_loss"], stage, step, result, ckpt_path)
+                epoch_s = time.perf_counter() - epoch_start
+                log.write(stage=stage, epoch=epoch, **val, epoch_s=epoch_s)
+        if ckpt_path is not None:
+            result.save(ckpt_path)
+        return result
+    finally:
+        log.close()
 
 
 # ---------------------------------------------------------------------------
@@ -422,63 +539,33 @@ def train_mntp(
     continues from a previous partial result with the same config.
     """
     train_studies, val_studies = split_corpus(studies)
-    vocab = vocab or corpus_vocab(studies)
-    texts = mntp_text_pool(train_studies)
     val_texts = [s.findings_text for s in val_studies] + [
         s.impression_text for s in val_studies
     ]
+    _require_val("mntp", len(val_texts), 1)
+    vocab = vocab or corpus_vocab(studies)
     cfg_text = run.text_config(len(vocab))
-
     if resume is not None:
-        if resume.config.digest() != run.digest():
-            raise ValueError("resume refused: config digest mismatch")
-        params, opt, start_step = resume.params, resume.optimizer, resume.step
+        params = resume.params
     else:
         params = init_text_tower(cfg_text, stream_rng(run.seed, _STREAM_INIT_TEXT))
-        opt = AdamW(group_lrs={"": run.lr_mntp})
-        start_step = 0
+    seqs = [encode(t, vocab, max_len=run.max_len) for t in mntp_text_pool(train_studies)]
+    lengths = [len(s.ids) for s in seqs]
 
-    log = TrainLog(log_path)
-    result = StageResult("mntp", params, vocab, run, start_step, opt, log.records)
-    bs = run.batch_mntp
-    all_seqs = [encode(t, vocab, max_len=run.max_len) for t in texts]
-    lengths = [len(s.ids) for s in all_seqs]
-    total_steps = run.epochs_mntp * math.ceil(len(all_seqs) / bs)
-    step = 0
-    try:
-        for epoch in range(run.epochs_mntp):
-            rng_epoch = stream_rng(run.seed, _STREAM_ORDER["mntp"], epoch)
-            for batch_ids in bucketed_batches(lengths, bs, rng_epoch):
-                if step < start_step:
-                    step += 1
-                    continue
-                if stop_after is not None and step >= stop_after:
-                    result.step = step
-                    return result
-                seqs = [all_seqs[j] for j in batch_ids]
-                opt.zero_grad(params)
-                count = TokenCount()
-                loss = _mntp_step_loss(params, cfg_text, run, seqs, step, count=count)
-                value = float(loss.data)
-                _check_loss_finite(value, "mntp", step, result, ckpt_path)
-                backward(loss)
-                opt.lr_scale = _lr_scale(run, step, total_steps)
-                opt.step(params)
-                log.write(
-                    step=step, stage="mntp", loss=value,
-                    lr=run.lr_mntp * opt.lr_scale, tau=None,
-                    tokens=count.tokens, pad_tokens=count.pad_tokens,
-                )
-                step += 1
-            val = _mntp_val_loss(params, cfg_text, run, val_texts, vocab)
-            _check_loss_finite(val, "mntp", step, result, ckpt_path)
-            log.write(stage="mntp", epoch=epoch, val_loss=val)
-        result.step = step
-        if ckpt_path is not None:
-            result.save(ckpt_path)
-        return result
-    finally:
-        log.close()
+    def batches(epoch):
+        rng_epoch = stream_rng(run.seed, _STREAM_ORDER["mntp"], epoch)
+        return bucketed_batches(lengths, run.batch_mntp, rng_epoch)
+
+    def step_loss(batch, step, count):
+        return _mntp_step_loss(params, cfg_text, run, [seqs[j] for j in batch], step, count=count)
+
+    def validate():
+        return {"val_loss": _mntp_val_loss(params, cfg_text, run, val_texts, vocab)}
+
+    return _train_stage(
+        "mntp", run, vocab, params, len(seqs), batches, step_loss, validate,
+        log_path=log_path, ckpt_path=ckpt_path, stop_after=stop_after, resume=resume,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +599,12 @@ def encode_pooled(
     return l2_normalize(pooled) if normalize else pooled
 
 
-def _supcon_val_loss(params, cfg_text, run, val_pairs, vocab, lora=None) -> float:
+def _supcon_val_loss(params, cfg_text, run, val_pairs, vocab) -> float:
     params = frozen(params)
     total, count = 0.0, 0
     bs = run.batch_contrastive
     for start in range(0, len(val_pairs) - 1, bs):
         batch = val_pairs[start : start + bs]
-        if len(batch) < 2:
-            continue
         a = [encode(p.anchor_text, vocab, instruction=p.instruction, max_len=run.max_len) for p in batch]
         pos = [encode(p.positive_text, vocab, max_len=run.max_len) for p in batch]
         ae = encode_pooled(params, cfg_text, run, a)
@@ -527,8 +612,6 @@ def _supcon_val_loss(params, cfg_text, run, val_pairs, vocab, lora=None) -> floa
         loss = supcon_loss(ae, pe, [p.label_key for p in batch], tau=run.supcon_tau)
         total += float(loss.data) * len(batch)
         count += len(batch)
-    if count == 0:
-        raise ValueError("validation split produced no contrastive pairs")
     return total / count
 
 
@@ -542,6 +625,8 @@ def train_contrastive(
     """Instruction-based supervised contrastive stage. Starts from an MNTP
     result unless `init` is None (cold-start ablation)."""
     train_studies, val_studies = split_corpus(studies)
+    val_pairs = build_contrastive_pairs(val_studies, stream_rng(run.seed, _STREAM_PAIRS, 1))
+    _require_val("contrastive", len(val_pairs), 2)
     if init is not None:
         vocab, params = init.vocab, init.params
     else:
@@ -551,81 +636,39 @@ def train_contrastive(
     cfg_text = run.text_config(len(vocab))
     params = {n: p for n, p in params.items() if not n.startswith("mntp.")}
 
-    lora = None
-    if run.stage2_lora_only:
-        lora = run.lora_config()
-        params.update(init_lora(params, cfg_text, lora, stream_rng(run.seed, _STREAM_INIT_LORA)))
-        set_trainable(params, lambda n: n.startswith(("lora.", "pool.")))
-    else:
-        set_trainable(params, lambda n: True)
-
     pairs = build_contrastive_pairs(train_studies, stream_rng(run.seed, _STREAM_PAIRS))
-    val_pairs = build_contrastive_pairs(val_studies, stream_rng(run.seed, _STREAM_PAIRS, 1))
     anchor_seqs = [
         encode(p.anchor_text, vocab, instruction=p.instruction, max_len=run.max_len)
         for p in pairs
     ]
     positive_seqs = [encode(p.positive_text, vocab, max_len=run.max_len) for p in pairs]
-    opt = AdamW(group_lrs={"": run.lr_text})
-    log = TrainLog(log_path)
-    result = StageResult("contrastive", params, vocab, run, 0, opt, log.records)
     bs = run.batch_contrastive
-    total_steps = run.epochs_contrastive * math.ceil(len(pairs) / bs)
-    step = 0
-    try:
-        for epoch in range(run.epochs_contrastive):
-            order = _epoch_order(run.seed, "contrastive", epoch, len(pairs))
-            for i in range(math.ceil(len(pairs) / bs)):
-                ids = order[i * bs : (i + 1) * bs]
-                if len(ids) < 2:
-                    continue
-                a = [anchor_seqs[j] for j in ids]
-                pos = [positive_seqs[j] for j in ids]
-                rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
-                opt.zero_grad(params)
-                count = TokenCount()
-                ae = encode_pooled(
-                    params, cfg_text, run, a, lora=lora, train=True, rng=rng_drop, count=count
-                )
-                pe = encode_pooled(
-                    params, cfg_text, run, pos, lora=lora, train=True, rng=rng_drop, count=count
-                )
-                loss = supcon_loss(ae, pe, [pairs[j].label_key for j in ids], tau=run.supcon_tau)
-                value = float(loss.data)
-                _check_loss_finite(value, "contrastive", step, result, ckpt_path)
-                backward(loss)
-                opt.lr_scale = _lr_scale(run, step, total_steps)
-                opt.step(params)
-                log.write(
-                    step=step, stage="contrastive", loss=value,
-                    lr=run.lr_text * opt.lr_scale, tau=None,
-                    tokens=count.tokens, pad_tokens=count.pad_tokens,
-                )
-                step += 1
-            val = _supcon_val_loss(params, cfg_text, run, val_pairs, vocab, lora=lora)
-            _check_loss_finite(val, "contrastive", step, result, ckpt_path)
-            log.write(stage="contrastive", epoch=epoch, val_loss=val)
-        if run.stage2_lora_only:
-            # fold the adapters so downstream stages see a plain tower
-            from .towers import lora_merge
 
-            merged = lora_merge(params, lora)
-            params.clear()
-            params.update(merged)
-            set_trainable(params, lambda n: True)
-        result.step = step
-        if ckpt_path is not None:
-            result.save(ckpt_path)
-        return result
-    finally:
-        log.close()
+    def batches(epoch):
+        order = stream_rng(run.seed, _STREAM_ORDER["contrastive"], epoch).permutation(len(pairs))
+        # every batch but a last one of a single pair, which has no negative
+        return [order[i : i + bs] for i in range(0, len(pairs) - 1, bs)]
+
+    def step_loss(ids, step, count):
+        rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
+        a = [anchor_seqs[j] for j in ids]
+        pos = [positive_seqs[j] for j in ids]
+        ae = encode_pooled(params, cfg_text, run, a, train=True, rng=rng_drop, count=count)
+        pe = encode_pooled(params, cfg_text, run, pos, train=True, rng=rng_drop, count=count)
+        return supcon_loss(ae, pe, [pairs[j].label_key for j in ids], tau=run.supcon_tau)
+
+    def validate():
+        return {"val_loss": _supcon_val_loss(params, cfg_text, run, val_pairs, vocab)}
+
+    return _train_stage(
+        "contrastive", run, vocab, params, len(pairs), batches, step_loss, validate,
+        log_path=log_path, ckpt_path=ckpt_path,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Stage 3: image-text alignment
 # ---------------------------------------------------------------------------
-
-CLIP_TRAINABLE_PREFIXES = ("lora.", "proj_text", "proj_img", "vision.", "clip.log_tau")
 
 
 def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
@@ -640,28 +683,6 @@ def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
             max_len=run.max_len,
         )
     return encode(text, vocab, max_len=run.max_len)
-
-
-def _assert_regime(params) -> None:
-    expected = {
-        n for n in params if n.startswith(CLIP_TRAINABLE_PREFIXES)
-    }
-    actual = set(trainable_names(params))
-    if actual != expected:
-        raise RegimeViolationError(
-            f"stage-3 trainable census mismatch: extra={sorted(actual - expected)} "
-            f"missing={sorted(expected - actual)}"
-        )
-
-
-def _assert_frozen_untouched(params) -> None:
-    touched = [
-        n
-        for n, p in params.items()
-        if not n.startswith(CLIP_TRAINABLE_PREFIXES) and p.grad is not None
-    ]
-    if touched:
-        raise RegimeViolationError(f"gradient reached frozen parameters: {touched}")
 
 
 def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=256):
@@ -716,8 +737,9 @@ def train_clip(
     every study pairs its image with the findings text.
     """
     train_studies, val_studies = split_corpus(studies)
-    vocab, params = text_init.vocab, dict(text_init.params)
-    params = {n: p for n, p in params.items() if not n.startswith("mntp.")}
+    _require_val("clip", len(val_studies), 2)
+    vocab = text_init.vocab
+    params = {n: p for n, p in text_init.params.items() if not n.startswith("mntp.")}
     cfg_text = run.text_config(len(vocab))
     cfg_vision = run.vision_config()
     lora = run.lora_config()
@@ -727,8 +749,6 @@ def train_clip(
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng_proj))
     params.update(init_projection("proj_img", cfg_vision.model_dim, run.shared_dim, rng_proj))
     params["clip.log_tau"] = init_log_tau()
-    set_trainable(params, lambda n: n.startswith(CLIP_TRAINABLE_PREFIXES))
-    _assert_regime(params)
 
     section_of = section_of or (lambda sid: "findings")
 
@@ -741,60 +761,27 @@ def train_clip(
     train_items = items_for(train_studies)
     val_items = items_for(val_studies)
     _center_projections(params, cfg_text, cfg_vision, run, lora, train_items)
-    opt = AdamW(
-        group_lrs={
-            "lora.": run.lr_text,
-            "proj_text": run.lr_projection,
-            "proj_img": run.lr_projection,
-            "vision.": run.lr_projection,
-            "clip.log_tau": run.lr_projection,
-        }
+    lengths = [len(seq.ids) for seq, _ in train_items]
+
+    def batches(epoch):
+        rng_epoch = stream_rng(run.seed, _STREAM_ORDER["clip"], epoch)
+        return [b for b in bucketed_batches(lengths, run.batch_clip, rng_epoch) if len(b) >= 2]
+
+    def step_loss(ids, step, count):
+        rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
+        batch = [train_items[j] for j in ids]
+        v_proj, t_proj = _clip_project(
+            params, cfg_text, cfg_vision, run, lora, batch, True, rng_drop, count
+        )
+        return clip_loss(v_proj, t_proj, params["clip.log_tau"])
+
+    def validate():
+        return _clip_val(params, cfg_text, cfg_vision, run, lora, val_items)
+
+    return _train_stage(
+        "clip", run, vocab, params, len(train_items), batches, step_loss, validate,
+        log_path=log_path, ckpt_path=ckpt_path,
     )
-    log = TrainLog(log_path)
-    result = StageResult("clip", params, vocab, run, 0, opt, log.records)
-    bs = run.batch_clip
-    total_steps = run.epochs_clip * math.ceil(len(train_items) / bs)
-    step = 0
-    try:
-        lengths = [len(seq.ids) for seq, _ in train_items]
-        for epoch in range(run.epochs_clip):
-            rng_epoch = stream_rng(run.seed, _STREAM_ORDER["clip"], epoch)
-            for batch_ids in bucketed_batches(lengths, bs, rng_epoch):
-                batch = [train_items[j] for j in batch_ids]
-                if len(batch) < 2:
-                    continue
-                rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
-                opt.zero_grad(params)
-                _assert_regime(params)
-                count = TokenCount()
-                v_proj, t_proj = _clip_project(
-                    params, cfg_text, cfg_vision, run, lora, batch, True, rng_drop, count
-                )
-                loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
-                value = float(loss.data)
-                _check_loss_finite(value, "clip", step, result, ckpt_path)
-                backward(loss)
-                _assert_frozen_untouched(params)
-                opt.lr_scale = _lr_scale(run, step, total_steps)
-                opt.step(params)
-                log_tau = float(params["clip.log_tau"].data[0])
-                tau = 1.0 / float(inverse_tau(log_tau).data[0])
-                log.write(
-                    step=step, stage="clip", loss=value,
-                    lr=run.lr_projection * opt.lr_scale, tau=tau,
-                    tokens=count.tokens, pad_tokens=count.pad_tokens,
-                )
-                step += 1
-            val = _clip_val(params, cfg_text, cfg_vision, run, lora, val_items)
-            log.write(stage="clip", epoch=epoch, val_loss=val["val_loss"], **{
-                k: v for k, v in val.items() if k != "val_loss"
-            })
-        result.step = step
-        if ckpt_path is not None:
-            result.save(ckpt_path)
-        return result
-    finally:
-        log.close()
 
 
 def _clip_val(params, cfg_text, cfg_vision, run, lora, val_items) -> dict:
@@ -822,7 +809,7 @@ def _clip_val(params, cfg_text, cfg_vision, run, lora, val_items) -> dict:
     diag = sims[np.arange(n), np.arange(n)][:, None]
     # ties count against the query: a collapsed embedding must not score
     ranks = (sims > diag).sum(axis=1) + ((sims == diag).sum(axis=1) - 1)
-    out = {"val_loss": total / max(count, 1)}
+    out = {"val_loss": total / count}
     for k in (1, 5, 10):
         out[f"recall@{k}"] = float((ranks < k).mean())
     return out

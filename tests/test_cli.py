@@ -130,6 +130,21 @@ def test_train_clip_without_init_fails(workdir, capsys):
     assert "--init" in capsys.readouterr().err
 
 
+def test_train_mntp_with_init_fails(workdir, capsys):
+    """Stage 1 starts from a fresh tower, so an --init it would ignore is
+    refused instead of being listed as an input."""
+    rc = main([
+        "train", "mntp",
+        "--corpus", str(workdir / "corpus.jsonl"),
+        "--config", str(workdir / "config.json"),
+        "--init", str(workdir / "s1"),
+        "--out", str(workdir / "mntp_with_init"),
+    ])
+    assert rc == 2
+    assert "--init" in capsys.readouterr().err
+    assert not (workdir / "mntp_with_init").exists()
+
+
 def test_train_outputs_run_directory(workdir):
     for stage_dir in ("s1", "s2", "s3"):
         d = workdir / stage_dir

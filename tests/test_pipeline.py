@@ -3,13 +3,14 @@ freezing regime, divergence handling, and training logs."""
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from cxalign import pipeline
-from cxalign.autodiff import add, backward, l2_normalize, matmul
+from cxalign.autodiff import Tensor, add, backward, l2_normalize, matmul
 from cxalign.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -17,7 +18,7 @@ from cxalign.checkpoint import (
     save_checkpoint,
 )
 from cxalign.grammar.corpus import generate_corpus
-from cxalign.optim import DivergenceError
+from cxalign.optim import AdamW, DivergenceError
 from cxalign.objectives import build_contrastive_pairs, mntp_loss, supcon_loss
 from cxalign.pipeline import (
     CLIP_TRAINABLE_PREFIXES,
@@ -445,3 +446,120 @@ def test_finite_loss_passes_through(corpus, tmp_path):
     result = train_mntp(corpus, RunConfig(**TINY), stop_after=1)
     _check_loss_finite(0.5, "mntp", 0, result, tmp_path / "never.cxal")
     assert not (tmp_path / "never.cxal").exists()
+
+
+# ---------------------------------------------------------------------------
+# The step driver
+# ---------------------------------------------------------------------------
+
+
+def test_divergence_checkpoint_records_the_failing_step(corpus, tmp_path, monkeypatch):
+    k = 5
+    step_loss = pipeline._mntp_step_loss
+
+    def nan_at_k(params, cfg, run, seqs, step, train=True, count=None):
+        loss = step_loss(params, cfg, run, seqs, step, train=train, count=count)
+        return Tensor(np.nan) if train and step == k else loss
+
+    monkeypatch.setattr(pipeline, "_mntp_step_loss", nan_at_k)
+    out = tmp_path / "diverged.cxal"
+    with pytest.raises(DivergenceError, match=f"step {k}"):
+        train_mntp(corpus, RunConfig(**TINY), ckpt_path=out)
+    ck = load_checkpoint(out)
+    assert ck.step == k == int(ck.arrays["opt.t"][0])
+    monkeypatch.undo()
+    # the saved state is the one an uninterrupted run has before step k
+    half = train_mntp(corpus, RunConfig(**TINY), stop_after=k)
+    assert _param_digest(ck.params()) == _param_digest(half.params)
+
+
+def test_split_run_logs_each_epoch_once(corpus):
+    run = RunConfig(**TINY)
+    full = train_mntp(corpus, run)
+    per_epoch = next(i for i, r in enumerate(full.log) if "val_loss" in r)
+    half = train_mntp(corpus, run, stop_after=per_epoch + 3)
+    resumed = train_mntp(corpus, run, resume=half)
+
+    def vals(log):
+        return [(r["epoch"], r["val_loss"]) for r in log if "val_loss" in r]
+
+    assert vals(half.log) + vals(resumed.log) == vals(full.log)
+    steps = [r["step"] for r in half.log + resumed.log if "loss" in r]
+    assert steps == list(range(full.step))
+
+
+def test_too_small_validation_split_is_rejected_before_any_step(monkeypatch):
+    studies = generate_corpus(10, seed=4096)
+    assert split_corpus(studies)[1] == []
+    forwards = []
+    monkeypatch.setattr(pipeline, "text_forward", lambda *a, **k: forwards.append(a))
+    run = RunConfig(**TINY)
+    vocab = corpus_vocab(studies)
+    tower = init_text_tower(run.text_config(len(vocab)), np.random.default_rng(0))
+    text = StageResult("contrastive", tower, vocab, run, 0, AdamW(group_lrs={"": 1e-3}))
+    for train in (
+        lambda: train_mntp(studies, run),
+        lambda: train_contrastive(studies, run),
+        lambda: train_clip(studies, run, text_init=text),
+    ):
+        with pytest.raises(ValueError, match="validation split"):
+            train()
+    assert forwards == []
+
+
+@pytest.mark.parametrize("field", ["batch_contrastive", "batch_clip"])
+def test_contrastive_batches_need_two_rows(field):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: 1})
+
+
+def test_config_names_unknown_keys(corpus, tmp_path):
+    doc = json.loads(RunConfig().to_json())
+    doc.update(lr_schedule="cosine", stage2_lora_only=False)
+    with pytest.raises(ValueError, match=r"unknown keys \['lr_schedule', 'stage2_lora_only'\]"):
+        RunConfig.from_json(json.dumps(doc))
+    save_stage(train_mntp(corpus, RunConfig(**TINY), stop_after=0), tmp_path / "run")
+    cfg = tmp_path / "run" / "config.json"
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "lr_schedule": "cosine"}))
+    with pytest.raises(ValueError, match="lr_schedule"):
+        load_stage(tmp_path / "run")
+
+
+def test_loaded_clip_optimizer_has_the_training_groups(corpus, tmp_path):
+    run = RunConfig(**{**TINY, "lr_text": 1e-3, "lr_projection": 2e-4})
+    r3 = train_clip(corpus, run, text_init=train_contrastive(corpus, run))
+    save_stage(r3, tmp_path / "s3")
+    loaded = load_stage(tmp_path / "s3")
+    assert loaded.optimizer.group_lrs == r3.optimizer.group_lrs
+    trainable = {n for n, p in loaded.params.items() if p.requires_grad}
+    assert trainable == {n for n, p in r3.params.items() if p.requires_grad}
+    for name in trainable:
+        expected = run.lr_text if name.startswith("lora.") else run.lr_projection
+        assert loaded.optimizer.lr_for(name) == r3.optimizer.lr_for(name) == expected, name
+
+
+def test_step_records_time_and_gradient_norm(corpus, monkeypatch):
+    """Every stage's step records carry a positive `step_s` and the global
+    norm of the gradients the optimizer applied; epoch records `epoch_s`."""
+    norms, optimizer_step = [], AdamW.step
+
+    def spy_step(self, params):
+        grads = [p.grad.ravel() for p in params.values() if p.requires_grad and p.grad is not None]
+        norms.append(float(np.linalg.norm(np.concatenate(grads).astype(np.float64))))
+        return optimizer_step(self, params)
+
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    run = RunConfig(**{**TINY, "epochs_mntp": 1, "epochs_contrastive": 1})
+    r1 = train_mntp(corpus, run)
+    r2 = train_contrastive(corpus, run, init=r1)
+    r3 = train_clip(corpus, run, text_init=r2)
+    records = r1.log + r2.log + r3.log
+    steps = [r for r in records if "loss" in r]
+    assert {r["stage"] for r in steps} == {"mntp", "contrastive", "clip"}
+    assert len(steps) == len(norms)
+    for r, norm in zip(steps, norms):
+        assert norm > 0 and r["grad_norm"] == pytest.approx(norm, rel=1e-9)
+        assert math.isfinite(r["step_s"]) and r["step_s"] > 0
+    epochs = [r for r in records if "val_loss" in r]
+    assert len(epochs) == 3
+    assert all(math.isfinite(r["epoch_s"]) and r["epoch_s"] > 0 for r in epochs)
