@@ -3,14 +3,21 @@
 A Tensor wraps an ndarray and remembers the primitive application that
 produced it; backward() replays the graph in reverse topological order.
 The primitive set is fixed: matmul, add, mul, scale, a fused affine map
-(linear), softmax, layer norm, embedding lookup, GELU, row L2
-normalization, cross entropy from logits, dropout, a sum reduction, plus
-shape plumbing (reshape, transpose, concat, row gather). A primitive none
-of whose inputs requires a gradient records nothing, so a forward over
-`towers.frozen` views builds no graph.
+(linear), softmax, layer norm, rotary positions, embedding lookup, GELU,
+row L2 normalization, cross entropy from logits, dropout, a sum reduction,
+plus shape plumbing (reshape, transpose, concat, row gather). Two fused
+primitives carry a transformer block in a few nodes: `attention` (head
+split, rotary, scaled and biased softmax, context product and head merge)
+and `affine_layer_norm` (layer norm, gain and shift). Each shares its math
+with the unfused primitives (`softmax`, `rotary`, `layer_norm`) and gives
+their results bit for bit. A primitive none of whose inputs requires a
+gradient records nothing, so a forward over `towers.frozen` views builds no
+graph.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,6 +38,8 @@ __all__ = [
     "sum_",
     "softmax",
     "layer_norm",
+    "affine_layer_norm",
+    "attention",
     "gelu",
     "rotary",
     "exp",
@@ -297,40 +306,77 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     return _track(np.asarray(out, dtype=np.float32), (a,), bwd)
 
 
-def softmax(a) -> Tensor:
-    """Row softmax over the last axis (numerically stable)."""
-    a = _as_tensor(a)
-    m = a.data.max(axis=-1, keepdims=True)
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    m = x.max(axis=-1, keepdims=True)
     # -inf logits (masked positions) are fine; NaN, +inf, or an all--inf row
     # is not: the per-row max catches each case
     if not np.isfinite(m).all():
         raise NonFiniteError("softmax: NaN/+inf logits or a fully masked row")
-    e = np.exp(a.data - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def softmax(a) -> Tensor:
+    """Row softmax over the last axis (numerically stable)."""
+    a = _as_tensor(a)
+    out = _softmax_rows(a.data)
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_grad(out, g),)
 
     return _track(out, (a,), bwd)
+
+
+def _normalize(x: np.ndarray, eps: float) -> tuple:
+    """Rows of `x` at zero mean and unit variance, and their 1/std."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _normalize_grad(out: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    n = out.shape[-1]
+    gsum = g.sum(axis=-1, keepdims=True)
+    gdot = (g * out).sum(axis=-1, keepdims=True)
+    return inv * (g - gsum / n - out * gdot / n)
 
 
 def layer_norm(a, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine)."""
     a = _as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
+    out, inv = _normalize(a.data, eps)
 
     def bwd(g):
-        n = a.shape[-1]
-        gsum = g.sum(axis=-1, keepdims=True)
-        gdot = (g * out).sum(axis=-1, keepdims=True)
-        return (inv * (g - gsum / n - out * gdot / n),)
+        return (_normalize_grad(out, inv, g),)
 
     return _track(out, (a,), bwd)
+
+
+def affine_layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
+    """`layer_norm(a) * gain + shift` as one node, for (d,) gain and shift."""
+    a, gain, shift = _as_tensor(a), _as_tensor(gain), _as_tensor(shift)
+    if gain.shape != a.shape[-1:] or shift.shape != a.shape[-1:]:
+        raise ShapeError(
+            f"affine_layer_norm: shapes {a.shape}, {gain.shape} and {shift.shape} incompatible"
+        )
+    norm, inv = _normalize(a.data, eps)
+    out = norm * gain.data
+    out += shift.data
+
+    def bwd(g):
+        ga = _normalize_grad(norm, inv, g * gain.data) if a.requires_grad else None
+        gg = _unbroadcast(g * norm, gain.shape) if gain.requires_grad else None
+        gs = _unbroadcast(g, shift.shape) if shift.requires_grad else None
+        return ga, gg, gs
+
+    return _track(out, (a, gain, shift), bwd)
 
 
 _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
@@ -372,20 +418,80 @@ def gelu(a) -> Tensor:
     return _track(out, (a,), bwd)
 
 
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    half = x.shape[-1] // 2
+    return x * cos + np.concatenate([-x[..., half:], x[..., :half]], axis=-1) * sin
+
+
+def _rotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    half = g.shape[-1] // 2
+    gs = g * sin
+    return g * cos + np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
+
+
 def rotary(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary position embedding over the last axis, rotate-half layout:
     feature pairs (i, i + d/2) turn by the angles whose cosines and sines
     are the constant arrays `cos` and `sin` (broadcastable to `a`)."""
     a = _as_tensor(a)
-    x = a.data
-    half = x.shape[-1] // 2
-    out = x * cos + np.concatenate([-x[..., half:], x[..., :half]], axis=-1) * sin
+    out = _rotate(a.data, cos, sin)
 
     def bwd(g):
-        gs = g * sin
-        return (g * cos + np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1),)
+        return (_rotate_grad(g, cos, sin),)
 
     return _track(out, (a,), bwd)
+
+
+def attention(q, k, v, heads: int, cos=None, sin=None, bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    `q`, `k` and `v` are (B, T, d) and split into `heads` heads of d/heads
+    features. Queries and keys turn by rotary positions when the (T, d/heads)
+    tables `cos` and `sin` are given. `bias`, when given, is a constant
+    array added to the (B, heads, T, T) scores, broadcastable to them. The
+    heads' contexts merge back to (B, T, d). The arithmetic is the unfused
+    chain's, op for op, so results match it bit for bit. Backward keeps only
+    the attention probabilities and the rotated, split q, k and v."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
+        raise ShapeError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} with {heads} heads")
+    B, T, d = q.shape
+    dh = d // heads
+    c = np.float32(1.0 / math.sqrt(dh))
+
+    def split(x):
+        return np.transpose(x.reshape(B, T, heads, dh), (0, 2, 1, 3))
+
+    def merge(x):
+        return np.transpose(x, (0, 2, 1, 3)).reshape(B, T, d)
+
+    def unrotate(g):
+        return _rotate_grad(g, cos, sin) if cos is not None else g
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    if cos is not None:
+        qh, kh = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
+    scores = qh @ np.transpose(kh, (0, 1, 3, 2))
+    scores *= c
+    if bias is not None:
+        scores += bias
+    probs = _softmax_rows(scores)
+    out = merge(probs @ vh)
+
+    def bwd(g):
+        g = split(g)
+        dq = dk = dv = None
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad(probs, g @ np.swapaxes(vh, -1, -2)) * c
+            if q.requires_grad:
+                dq = merge(unrotate(gs @ kh))
+            if k.requires_grad:
+                dk = merge(unrotate(np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2))))
+        if v.requires_grad:
+            dv = merge(np.swapaxes(probs, -1, -2) @ g)
+        return dq, dk, dv
+
+    return _track(out, (q, k, v), bwd)
 
 
 def exp(a) -> Tensor:

@@ -1,8 +1,8 @@
 """Command-line entry point: gen-corpus | train | embed | eval | report.
 
 Every command writes a manifest (config digest, seed, package versions,
-input digests, wall time, peak memory) next to its outputs so artifacts are
-reconstructible and their cost is on record."""
+input digests, wall time, peak memory, and how much work it did) next to
+its outputs so artifacts are reconstructible and their cost is on record."""
 
 from __future__ import annotations
 
@@ -58,9 +58,10 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path, command: str, args: dict, config_digest: str, seed, inputs) -> str:
+def write_manifest(out_path, command: str, args: dict, config_digest: str, seed, inputs, counts=None) -> str:
     """Write the manifest; `args["_started"]` is the command's start on the
-    `time.perf_counter` clock, which `main` sets."""
+    `time.perf_counter` clock, which `main` sets. `counts` names the work
+    done (studies written, steps trained, items embedded or evaluated)."""
     import numpy
 
     from . import __version__
@@ -83,6 +84,7 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
         "wall_s": round(time.perf_counter() - args["_started"], 3),
         # the process's peak so far; Linux reports ru_maxrss in KiB
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        **(counts or {}),
     }
     path = str(out_path) + ".manifest.json"
     if os.path.isdir(out_path):
@@ -113,7 +115,7 @@ def cmd_gen_corpus(args) -> int:
 
     studies = generate_corpus(args.n, seed=args.seed, noise_sigma=args.noise_sigma)
     write_corpus(studies, args.out)
-    write_manifest(args.out, "gen-corpus", vars(args), "", args.seed, [])
+    write_manifest(args.out, "gen-corpus", vars(args), "", args.seed, [], {"studies": len(studies)})
     print(f"wrote {len(studies)} studies to {args.out}")
     return 0
 
@@ -147,7 +149,10 @@ def cmd_train(args) -> int:
         result = train_clip(studies, run, text_init=init, log_path=log_path)
     save_stage(result, args.out)
     inputs = [args.corpus] + ([os.path.join(args.init, "model.cxal")] if args.init else [])
-    write_manifest(args.out, f"train {args.stage}", vars(args), run.digest(), run.seed, inputs)
+    write_manifest(
+        args.out, f"train {args.stage}", vars(args), run.digest(), run.seed, inputs,
+        {"steps": result.step},
+    )
     print(f"{args.stage}: {result.step} steps -> {args.out}")
     return 0
 
@@ -178,7 +183,10 @@ def cmd_embed(args) -> int:
     else:
         matrix = encoder.embed([s.findings_text for s in studies])
     np.savez(args.out, ids=np.array(ids), matrix=matrix)
-    write_manifest(args.out, "embed", vars(args), result.config.digest(), result.config.seed, [args.corpus])
+    write_manifest(
+        args.out, "embed", vars(args), result.config.digest(), result.config.seed, [args.corpus],
+        {"items": len(ids)},
+    )
     print(f"embedded {len(ids)} {args.side} items -> {args.out}")
     return 0
 
@@ -223,7 +231,10 @@ def cmd_eval(args) -> int:
     )
     with open(args.out, "w") as fh:
         fh.write(report.to_json() + "\n")
-    write_manifest(args.out, f"eval {task}", vars(args), result.config.digest(), result.config.seed, [args.corpus])
+    write_manifest(
+        args.out, f"eval {task}", vars(args), result.config.digest(), result.config.seed,
+        [args.corpus], {"items": len(val)},
+    )
     print(report.table())
     failed = [
         f"{name} = {metrics.get(name)} < {minimum}"

@@ -18,7 +18,7 @@ from .grammar.types import KINDS
 from .objectives import INSTR_IMAGE, INSTR_SUMMARIZE
 from .pipeline import GROUP_ROWS, RunConfig, StageResult, encode_pooled
 from .tokenizer import encode
-from .towers import frozen, project, vision_forward
+from .towers import frozen, lora_merge, project, vision_forward
 
 RECALL_KS = (1, 5, 10)
 
@@ -34,6 +34,8 @@ class EmbeddingIndex:
     matrix: np.ndarray  # (N, d), unit-norm rows
     modality: str = "text"
 
+    id_rank: np.ndarray = field(init=False, repr=False)  # each id's place in sorted order
+
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float32)
         if len(self.ids) != self.matrix.shape[0]:
@@ -43,6 +45,7 @@ class EmbeddingIndex:
         norms = np.linalg.norm(self.matrix, axis=1)
         if self.matrix.size and not np.allclose(norms, 1.0, atol=1e-5):
             raise ValueError("EmbeddingIndex: rows must be unit-norm")
+        self.id_rank = np.argsort(np.argsort(self.ids))
 
     def __len__(self):
         return len(self.ids)
@@ -56,11 +59,10 @@ def retrieve_topk(query_index: EmbeddingIndex, pool_index: EmbeddingIndex, k: in
     if k > len(pool_index):
         raise ValueError(f"retrieve_topk: k={k} exceeds pool size {len(pool_index)}")
     sims = query_index.matrix @ pool_index.matrix.T
-    # lexsort's last key dominates: sort by -sim, then by id rank
-    id_rank = np.argsort(np.argsort(pool_index.ids))
     results = []
     for row in sims:
-        order = np.lexsort((id_rank, -row))[:k]
+        # lexsort's last key dominates: sort by -sim, then by id rank
+        order = np.lexsort((pool_index.id_rank, -row))[:k]
         results.append([pool_index.ids[i] for i in order])
     return results
 
@@ -87,12 +89,11 @@ class TextEncoder:
     `pipeline.encode_pooled`'s length groups; rows come back in input
     order."""
 
-    def __init__(self, result: StageResult, lora=None):
+    def __init__(self, result: StageResult):
         self.params = frozen(result.params)
         self.vocab = result.vocab
         self.run = result.config
         self.cfg_text = result.config.text_config(len(result.vocab))
-        self.lora = lora
 
     def embed(self, texts, instruction=None, section=None) -> np.ndarray:
         return self._embed(texts, instruction=instruction, section=section)
@@ -128,7 +129,7 @@ class TextEncoder:
             source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in seqs]
             emb = encode_pooled(
                 self.params, self.cfg_text, self.run, [s for _, s in unique.values()],
-                lora=self.lora, normalize=head is None,
+                normalize=head is None,
             )
         if head is not None:
             emb = project(emb, self.params[f"{head}.w"], self.params[f"{head}.mu"])
@@ -136,10 +137,15 @@ class TextEncoder:
 
 
 class DualEncoder(TextEncoder):
-    """Adds the projection heads and vision tower from a stage-3 result."""
+    """Adds the projection heads and vision tower from a stage-3 result.
+
+    The LoRA adapters fold into the text base once, here, so a query runs
+    no adapter branch. The folded weights are copies: training the result
+    further in place does not reach an encoder built before."""
 
     def __init__(self, result: StageResult):
-        super().__init__(result, lora=result.config.lora_config())
+        super().__init__(result)
+        self.params = frozen(lora_merge(result.params, result.config.lora_config()))
         self.cfg_vision = result.config.vision_config()
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import add, backward, concat, l2_normalize, linear, scale, take_rows
+from .autodiff import Tensor, add, backward, concat, l2_normalize, linear, scale, take_rows
 from .checkpoint import params_to_arrays, save_checkpoint
 from .objectives import (
     INSTR_IMAGE,
@@ -417,6 +417,13 @@ def _tau(params) -> float | None:
     return 1.0 / float(inverse_tau(float(params["clip.log_tau"].data[0])).data[0])
 
 
+def _stage_copy(params) -> dict:
+    """A stage's own copy of the previous stage's text tower, without the
+    MNTP head: training updates arrays in place, so sharing them would
+    rewrite the previous result."""
+    return {n: Tensor(p.data.copy()) for n, p in params.items() if not n.startswith("mntp.")}
+
+
 def _train_stage(
     stage: str, run: RunConfig, vocab: Vocabulary, params: dict, n_items: int,
     batches, step_loss, validate, log_path=None, ckpt_path=None,
@@ -634,7 +641,7 @@ def train_contrastive(
         rng = stream_rng(run.seed, _STREAM_INIT_TEXT)
         params = init_text_tower(run.text_config(len(vocab)), rng)
     cfg_text = run.text_config(len(vocab))
-    params = {n: p for n, p in params.items() if not n.startswith("mntp.")}
+    params = _stage_copy(params)
 
     pairs = build_contrastive_pairs(train_studies, stream_rng(run.seed, _STREAM_PAIRS))
     anchor_seqs = [
@@ -739,7 +746,7 @@ def train_clip(
     train_studies, val_studies = split_corpus(studies)
     _require_val("clip", len(val_studies), 2)
     vocab = text_init.vocab
-    params = {n: p for n, p in text_init.params.items() if not n.startswith("mntp.")}
+    params = _stage_copy(text_init.params)
     cfg_text = run.text_config(len(vocab))
     cfg_vision = run.vision_config()
     lora = run.lora_config()

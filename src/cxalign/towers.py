@@ -19,17 +19,16 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    affine_layer_norm,
+    attention,
     concat,
     dropout,
     embedding,
     gelu,
     l2_normalize,
-    layer_norm,
     linear,
     matmul,
-    mul,
     reshape,
-    rotary,
     scale,
     softmax,
     take_rows,
@@ -226,22 +225,11 @@ def rotary_tables(T: int, dh: int) -> tuple:
 
 
 def _attention(params, prefix, x, bias, heads, lora, train, rng, p_drop, rope):
-    B, T, d = x.shape
-    dh = d // heads
-
-    def split(t):
-        return transpose(reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
-
-    q = split(_linear(params, f"{prefix}.wq", x, lora, train, rng))
-    k = split(_linear(params, f"{prefix}.wk", x, lora, train, rng))
-    if rope:
-        cos, sin = rotary_tables(T, dh)
-        q, k = rotary(q, cos, sin), rotary(k, cos, sin)
-    v = split(_linear(params, f"{prefix}.wv", x, lora, train, rng))
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    scores = add(scores, Tensor(bias))
-    attn = softmax(scores)
-    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (B, T, d))
+    q = _linear(params, f"{prefix}.wq", x, lora, train, rng)
+    k = _linear(params, f"{prefix}.wk", x, lora, train, rng)
+    v = _linear(params, f"{prefix}.wv", x, lora, train, rng)
+    cos, sin = rotary_tables(x.shape[1], x.shape[2] // heads) if rope else (None, None)
+    ctx = attention(q, k, v, heads, cos, sin, bias)
     out = _linear(params, f"{prefix}.wo", ctx, lora, train, rng)
     return dropout(out, p_drop, rng, train)
 
@@ -253,7 +241,7 @@ def _ffn(params, prefix, x, lora, train, rng, p_drop):
 
 
 def _affine_ln(params, prefix, x):
-    return add(mul(layer_norm(x), params[f"{prefix}g"]), params[f"{prefix}b"])
+    return affine_layer_norm(x, params[f"{prefix}g"], params[f"{prefix}b"])
 
 
 def _blocks(params, tower, x, bias, layers, heads, lora, train, rng, p_drop, rope=False):
@@ -264,11 +252,15 @@ def _blocks(params, tower, x, bias, layers, heads, lora, train, rng, p_drop, rop
     return _affine_ln(params, f"{tower}.lnf", x)
 
 
-def attention_bias(ids: np.ndarray, mode: str) -> np.ndarray:
-    """Additive (B, 1, T, T) bias: PAD keys masked; causal adds a future ban."""
+def attention_bias(ids: np.ndarray, mode: str) -> np.ndarray | None:
+    """Additive (B, 1, T, T) bias: PAD keys masked; causal adds a future ban.
+    None when nothing is masked (bidirectional, no PAD key), so attention
+    adds nothing."""
     B, T = ids.shape
-    bias = np.zeros((B, 1, T, T), dtype=np.float32)
     pad_keys = ids == PAD
+    if mode != "causal" and not pad_keys.any():
+        return None
+    bias = np.zeros((B, 1, T, T), dtype=np.float32)
     bias[pad_keys[:, None, None, :].repeat(T, axis=2)] = NEG_INF
     if mode == "causal":
         future = np.triu(np.ones((T, T), dtype=bool), k=1)
@@ -358,8 +350,7 @@ def vision_forward(
     T = cfg.n_patches + 1
     x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
     x = dropout(x, cfg.dropout, rng, train)
-    bias = np.zeros((1, 1, T, T), dtype=np.float32)
-    h = _blocks(params, "vision", x, bias, cfg.layers, cfg.heads, None, train, rng, cfg.dropout)
+    h = _blocks(params, "vision", x, None, cfg.layers, cfg.heads, None, train, rng, cfg.dropout)
     if cfg.readout == "mean":
         weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
         return reshape(matmul(Tensor(weights), h), (B, cfg.model_dim))

@@ -274,3 +274,130 @@ def test_softmax_gradient_property(rows, cols, seed):
         return ad.sum_(ad.mul(ad.softmax(t), Tensor(w)))
 
     check_grad(build, x)
+
+
+# ---------------------------------------------------------------------------
+# fused attention and affine layer norm
+# ---------------------------------------------------------------------------
+
+
+def _unfused_attention(q, k, v, heads, cos=None, sin=None, bias=None):
+    """The attention chain as separate primitives."""
+    B, T, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    if cos is not None:
+        q, k = ad.rotary(q, cos, sin), ad.rotary(k, cos, sin)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    if bias is not None:
+        scores = ad.add(scores, Tensor(bias))
+    ctx = ad.matmul(ad.softmax(scores), v)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, d))
+
+
+def _attention_case(bias_kind, rope, B=2, T=5, d=8, heads=2):
+    from cxalign.tokenizer import PAD
+    from cxalign.towers import attention_bias, rotary_tables
+
+    ids = np.full((B, T), 9, dtype=np.int64)
+    ids[0, T - 2 :] = PAD
+    bias = {
+        "none": None,
+        "pad": attention_bias(ids, "bidirectional"),
+        "causal": attention_bias(ids, "causal"),
+    }[bias_kind]
+    cos, sin = rotary_tables(T, d // heads) if rope else (None, None)
+    return (B, T, d), dict(heads=heads, cos=cos, sin=sin, bias=bias)
+
+
+_ATTENTION_CASES = [(b, r) for b in ("none", "pad", "causal") for r in (True, False)]
+
+
+@pytest.mark.parametrize("bias_kind,rope", _ATTENTION_CASES)
+def test_attention_gradients(rng, bias_kind, rope):
+    shape, kw = _attention_case(bias_kind, rope)
+    q, k, v = leaf(rng, *shape), leaf(rng, *shape), leaf(rng, *shape)
+    probe = Tensor(rng.normal(size=shape).astype(np.float32))
+    check_grad(lambda t: ad.sum_(ad.mul(ad.attention(t, k, v, **kw), probe)), q, tol=5e-3)
+    check_grad(lambda t: ad.sum_(ad.mul(ad.attention(q, t, v, **kw), probe)), k, tol=5e-3)
+    check_grad(lambda t: ad.sum_(ad.mul(ad.attention(q, k, t, **kw), probe)), v, tol=5e-3)
+
+
+@pytest.mark.parametrize("bias_kind,rope", _ATTENTION_CASES)
+def test_attention_matches_unfused_chain(bias_kind, rope):
+    """Same values and gradients as the chain of primitives, bit for bit."""
+    shape, kw = _attention_case(bias_kind, rope, B=3, T=7, d=16, heads=4)
+    probe = Tensor(np.random.default_rng(2).normal(size=shape).astype(np.float32))
+    results = []
+    for op in (ad.attention, _unfused_attention):
+        r = np.random.default_rng(1)
+        q, k, v = leaf(r, *shape), leaf(r, *shape), leaf(r, *shape)
+        y = op(q, k, v, **kw)
+        backward(ad.sum_(ad.mul(y, probe)))
+        results.append([y.data, q.grad, k.grad, v.grad])
+    for fused, ref in zip(*results):
+        np.testing.assert_array_equal(fused, ref)
+
+
+def test_attention_records_one_node_and_skips_frozen_operands(rng):
+    q, k = leaf(rng, 1, 4, 8), leaf(rng, 1, 4, 8)
+    v = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
+    y = ad.attention(q, k, v, heads=2)
+    assert y._parents == (q, k, v)
+    backward(ad.sum_(y))
+    assert v.grad is None and q.grad is not None and k.grad is not None
+    frozen = ad.attention(Tensor(q.data), Tensor(k.data), v, heads=2)
+    assert not frozen.requires_grad and frozen._bwd is None
+
+
+def test_attention_rejects_bad_input(rng):
+    q = leaf(rng, 1, 4, 8)
+    with pytest.raises(ad.ShapeError):
+        ad.attention(q, q, leaf(rng, 1, 3, 8), heads=2)
+    with pytest.raises(ad.ShapeError):
+        ad.attention(q, q, q, heads=3)
+    masked = np.zeros((1, 1, 4, 4), dtype=np.float32)
+    masked[..., 2, :] = -np.inf
+    with pytest.raises(ad.NonFiniteError):
+        ad.attention(q, q, q, heads=2, bias=masked)
+    bad = q.data.copy()
+    bad[0, 1, 3] = np.nan
+    with pytest.raises(ad.NonFiniteError):
+        ad.attention(Tensor(bad), q, q, heads=2)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_affine_layer_norm_gradients(rng, shape):
+    x, g, b = leaf(rng, *shape), leaf(rng, 4), leaf(rng, 4)
+    probe = Tensor(rng.normal(size=shape).astype(np.float32))
+    check_grad(lambda t: ad.sum_(ad.mul(ad.affine_layer_norm(t, g, b), probe)), x)
+    check_grad(lambda t: ad.sum_(ad.mul(ad.affine_layer_norm(x, t, b), probe)), g)
+    check_grad(lambda t: ad.sum_(ad.mul(ad.affine_layer_norm(x, g, t), probe)), b)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_affine_layer_norm_matches_unfused_chain(shape):
+    probe = Tensor(np.random.default_rng(2).normal(size=shape).astype(np.float32))
+    results = []
+    for fused in (True, False):
+        r = np.random.default_rng(1)
+        x, g, b = leaf(r, *shape), leaf(r, 4), leaf(r, 4)
+        if fused:
+            y = ad.affine_layer_norm(x, g, b)
+        else:
+            y = ad.add(ad.mul(ad.layer_norm(x), g), b)
+        backward(ad.sum_(ad.mul(y, probe)))
+        results.append([y.data, x.grad, g.grad, b.grad])
+    for fused, ref in zip(*results):
+        np.testing.assert_array_equal(fused, ref)
+
+
+def test_affine_layer_norm_rejects_bad_shapes(rng):
+    with pytest.raises(ad.ShapeError):
+        ad.affine_layer_norm(leaf(rng, 2, 4), leaf(rng, 3), leaf(rng, 4))
+    with pytest.raises(ad.ShapeError):
+        ad.affine_layer_norm(leaf(rng, 2, 4), leaf(rng, 4), leaf(rng, 1, 4))

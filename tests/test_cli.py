@@ -235,3 +235,23 @@ def test_report_merges_tables(workdir, tmp_path, capsys):
     table = merged.read_text()
     assert "task1" in table and "task3" in table
     assert table.splitlines()[0].split()[0] == "task"
+
+
+def test_manifests_record_item_counts(workdir, tmp_path):
+    from cxalign.grammar.corpus import read_corpus
+    from cxalign.pipeline import split_corpus
+
+    corpus = workdir / "corpus.jsonl"
+    assert json.loads((workdir / "corpus.jsonl.manifest.json").read_text())["studies"] == 50
+    for stage_dir in ("s1", "s2", "s3"):
+        manifest = json.loads((workdir / stage_dir / "manifest.json").read_text())
+        log = [json.loads(line) for line in (workdir / stage_dir / "log.jsonl").read_text().splitlines()]
+        assert manifest["steps"] == sum("loss" in r for r in log) > 0
+    out = tmp_path / "img.npz"
+    main(["embed", "--ckpt", str(workdir / "s3"), "--corpus", str(corpus), "--side", "image", "--out", str(out)])
+    assert json.loads((tmp_path / "img.npz.manifest.json").read_text())["items"] == 50
+    _, val = split_corpus(read_corpus(corpus))
+    for task, ckpt in (("task1", "s2"), ("multimodal", "s3")):
+        out = tmp_path / f"{task}.json"
+        main(["eval", "--task", task, "--ckpt", str(workdir / ckpt), "--corpus", str(corpus), "--out", str(out)])
+        assert json.loads((tmp_path / f"{task}.json.manifest.json").read_text())["items"] == len(val)

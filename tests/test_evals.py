@@ -26,9 +26,17 @@ from cxalign.grammar.render import render_report
 from cxalign.grammar.types import LatentFinding, LatentStudy
 from cxalign.objectives import init_log_tau
 from cxalign.optim import AdamW
-from cxalign.pipeline import GROUP_ROWS, RunConfig, StageResult, corpus_vocab
+from cxalign.autodiff import l2_normalize
+from cxalign.pipeline import GROUP_ROWS, RunConfig, StageResult, corpus_vocab, encode_pooled
 from cxalign.tokenizer import encode
-from cxalign.towers import init_lora, init_projection, init_text_tower, init_vision_tower
+from cxalign.towers import (
+    frozen,
+    init_lora,
+    init_projection,
+    init_text_tower,
+    init_vision_tower,
+    project,
+)
 
 
 def _unit(rows):
@@ -62,6 +70,24 @@ def test_retrieve_topk_ties_break_to_ascending_id():
     pool = EmbeddingIndex(["zz", "aa"], _unit([[1, 0], [1, 0]]))
     q = EmbeddingIndex(["q"], _unit([[1, 0]]))
     assert retrieve_topk(q, pool, 2) == [["aa", "zz"]]
+
+
+def test_retrieve_topk_matches_brute_force_with_exact_ties():
+    rng = np.random.default_rng(5)
+    dim = 6
+    # rows drawn from a few basis vectors and one mixed vector, so pools
+    # hold many exactly tied rows; basis queries make every cosine exact
+    shapes = np.concatenate([np.eye(dim, dtype=np.float32)[:3], _unit([[0.6, 0.8, 0, 0, 0, 0]])])
+    ids = [f"s{j:03d}" for j in rng.permutation(40)]
+    pool = EmbeddingIndex(ids, shapes[rng.integers(0, len(shapes), size=len(ids))])
+    queries = EmbeddingIndex(["q0", "q1", "q2"], np.eye(dim, dtype=np.float32)[:3])
+    sims = queries.matrix @ pool.matrix.T
+    for k in (1, 10, 40):
+        expected = [
+            [ids[i] for i in sorted(range(len(ids)), key=lambda i: (-row[i], ids[i]))[:k]]
+            for row in sims
+        ]
+        assert retrieve_topk(queries, pool, k) == expected
 
 
 def test_retrieve_topk_rejects_oversized_k():
@@ -297,6 +323,72 @@ def dual_encoder():
     params["clip.log_tau"] = init_log_tau()
     result = StageResult("clip", params, vocab, run, 0, AdamW(group_lrs={"": 1e-3}))
     return DualEncoder(result), studies
+
+
+def _stage3_result(run, studies, seed=0):
+    """A stage-3 result at random init with nonzero adapters."""
+    vocab = corpus_vocab(studies)
+    cfg_text = run.text_config(len(vocab))
+    rng = np.random.default_rng(seed)
+    params = init_text_tower(cfg_text, rng)
+    params.update(init_lora(params, cfg_text, run.lora_config(), rng))
+    for name, p in params.items():
+        if name.startswith("lora.") and name.endswith(".B"):
+            p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
+    params.update(init_vision_tower(run.vision_config(), rng))
+    params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng))
+    params.update(init_projection("proj_img", 64, run.shared_dim, rng))
+    params["clip.log_tau"] = init_log_tau()
+    return StageResult("clip", params, vocab, run, 0, AdamW(group_lrs={"": 1e-3}))
+
+
+def test_dual_encoder_folds_lora_within_tolerance():
+    """Folded inference matches the adapted forward that stage 3 trains
+    within criterion 3's 1e-5, and runs no adapter."""
+    studies = generate_corpus(20, seed=12)
+    run = RunConfig(layers=2, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4)
+    result = _stage3_result(run, studies)
+    enc = DualEncoder(result)
+    assert not any(name.startswith("lora.") for name in enc.params)
+    texts = [s.findings_text for s in studies]
+    seqs = [encode(t, result.vocab, max_len=run.max_len) for t in texts]
+    view = frozen(result.params)
+    cfg_text = run.text_config(len(result.vocab))
+    adapted = encode_pooled(view, cfg_text, run, seqs, lora=run.lora_config(), normalize=False)
+    unfolded = encode_pooled(view, cfg_text, run, seqs, lora=None, normalize=False)
+    assert np.abs(adapted.data - unfolded.data).max() > 1e-3  # the adapters matter
+    reports = project(adapted, view["proj_text.w"], view["proj_text.mu"]).data
+    assert np.abs(enc.embed_reports(texts) - reports).max() <= 1e-5
+    assert np.abs(enc.embed(texts) - l2_normalize(adapted).data).max() <= 1e-5
+
+
+def _count_calls(monkeypatch, fn):
+    """Tape nodes (`_track` calls) and finite checks one call of `fn` makes."""
+    from cxalign import autodiff
+
+    counts = {"nodes": 0, "checks": 0}
+    for attr, key in (("_track", "nodes"), ("_check_finite", "checks")):
+        def spy(*args, _orig=getattr(autodiff, attr), _key=key):
+            counts[_key] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(autodiff, attr, spy)
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
+def test_batch1_query_node_budget(monkeypatch):
+    """A batch-1 query of the default 2-layer towers runs one node per
+    attention sublayer and per layer norm, and no adapter branch: 32 nodes
+    and 28 finite checks per report (120 and 84 with unfolded adapters and
+    the unfused chain), 37 nodes and 30 checks per image (73 and 38)."""
+    studies = generate_corpus(4, seed=13)
+    enc = DualEncoder(_stage3_result(RunConfig(), studies))
+    report = _count_calls(monkeypatch, lambda: enc.embed_reports([studies[0].findings_text]))
+    image = _count_calls(monkeypatch, lambda: enc.embed_images([studies[0].image]))
+    assert report["nodes"] <= 32 and report["checks"] <= 28, report
+    assert image["nodes"] <= 37 and image["checks"] <= 30, image
 
 
 def test_embed_rows_follow_input_order(dual_encoder):

@@ -425,6 +425,26 @@ def test_frozen_params_identical_across_stage3(corpus):
             assert r3.params[name].data.tobytes() == arr.tobytes(), name
 
 
+def test_next_stage_leaves_the_previous_result_untouched(corpus):
+    """Stages 2 and 3 train their own copies: every array of the result
+    they start from, and its trainable flags, survive them unchanged."""
+    run = RunConfig(**TINY)
+
+    def digests(result):
+        return {n: hashlib.sha256(p.data.tobytes()).hexdigest() for n, p in result.params.items()}
+
+    r1 = train_mntp(corpus, run, stop_after=3)
+    before1 = digests(r1)
+    r2 = train_contrastive(corpus, run, init=r1)
+    assert digests(r1) == before1
+    before2 = digests(r2)
+    flags2 = {n: p.requires_grad for n, p in r2.params.items()}
+    assert all(flags2.values())
+    train_clip(corpus, run, text_init=r2)
+    assert digests(r2) == before2
+    assert {n: p.requires_grad for n, p in r2.params.items()} == flags2
+
+
 # ---------------------------------------------------------------------------
 # Divergence handling
 # ---------------------------------------------------------------------------

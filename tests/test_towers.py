@@ -74,6 +74,27 @@ def test_too_long_sequence_rejected(params):
         tw.text_forward(params, CFG, ids)
 
 
+def test_attention_bias_only_when_something_is_masked():
+    ids = seq_ids(10, 11, 12)
+    assert tw.attention_bias(ids, "bidirectional") is None
+    causal = tw.attention_bias(ids, "causal")
+    assert causal.shape == (1, 1, 5, 5) and (causal[0, 0, 0, 1:] == tw.NEG_INF).all()
+    padded = np.concatenate([ids, np.full((1, 2), PAD, dtype=np.int64)], axis=1)
+    bias = tw.attention_bias(padded, "bidirectional")
+    assert (bias[0, 0, :, 5:] == tw.NEG_INF).all() and (bias[0, 0, :, :5] == 0).all()
+
+
+def test_absent_bias_equals_zero_bias_bit_for_bit():
+    from cxalign.autodiff import attention
+
+    rng = np.random.default_rng(4)
+    q, k, v = (Tensor(rng.normal(size=(2, 65, 64)).astype(np.float32)) for _ in range(3))
+    zero = np.zeros((1, 1, 65, 65), dtype=np.float32)
+    np.testing.assert_array_equal(
+        attention(q, k, v, 4).data, attention(q, k, v, 4, bias=zero).data
+    )
+
+
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
