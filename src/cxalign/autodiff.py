@@ -334,9 +334,11 @@ def softmax(a) -> Tensor:
 
 def _normalize(x: np.ndarray, eps: float) -> tuple:
     """Rows of `x` at zero mean and unit variance, and their 1/std."""
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / n is bit for bit ndarray.mean's float32 value, without its wrapper
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     return xc * inv, inv
 

@@ -139,13 +139,14 @@ class TextEncoder:
 class DualEncoder(TextEncoder):
     """Adds the projection heads and vision tower from a stage-3 result.
 
-    The LoRA adapters fold into the text base once, here, so a query runs
-    no adapter branch. The folded weights are copies: training the result
-    further in place does not reach an encoder built before."""
+    The LoRA adapters fold into the text base once, here, by stage 3's own
+    merge over frozen views (no tape), so a query runs no adapter branch.
+    The folded weights are copies: training the result further in place
+    does not reach an encoder built before."""
 
     def __init__(self, result: StageResult):
         super().__init__(result)
-        self.params = frozen(lora_merge(result.params, result.config.lora_config()))
+        self.params = lora_merge(frozen(result.params), result.config.lora_config())
         self.cfg_vision = result.config.vision_config()
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:
@@ -433,7 +434,7 @@ class EvalReport:
             if values != sorted(values):
                 raise ValueError(f"{task}: recall@k must be non-decreasing in k")
             for name, v in metrics.items():
-                if name in ("excluded", "items") or name.startswith("mean_rank"):
+                if name in ("excluded", "items", "flagged") or name.startswith("mean_rank"):
                     continue
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"{task}.{name}={v} outside [0, 1]")

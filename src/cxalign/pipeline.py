@@ -44,6 +44,7 @@ from .towers import (
     init_projection,
     init_text_tower,
     init_vision_tower,
+    lora_merge,
     pool,
     project,
     set_trainable,
@@ -112,7 +113,6 @@ class RunConfig:
     dropout: float = 0.0
     lora_rank: int = 16
     lora_alpha: float = 32.0
-    lora_dropout: float = 0.0
 
     def __post_init__(self):
         for name in (
@@ -155,9 +155,7 @@ class RunConfig:
         return VisionTowerConfig(dropout=self.dropout)
 
     def lora_config(self) -> LoraConfig:
-        return LoraConfig(
-            rank=self.lora_rank, alpha=self.lora_alpha, dropout=self.lora_dropout
-        )
+        return LoraConfig(rank=self.lora_rank, alpha=self.lora_alpha)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -248,7 +246,7 @@ class TokenCount:
     pad_tokens: int = 0
 
 
-def length_groups(params, cfg_text, seqs, lora=None, train=False, rng=None, count=None):
+def length_groups(params, cfg_text, seqs, train=False, rng=None, count=None):
     """Run `seqs` through the text tower in length-sorted groups.
 
     Yields `(idx, ids, spans, hidden)` per group: the group's indices into
@@ -262,7 +260,7 @@ def length_groups(params, cfg_text, seqs, lora=None, train=False, rng=None, coun
         if count is not None:
             count.tokens += ids.size
             count.pad_tokens += int((ids == PAD).sum())
-        yield idx, ids, spans, text_forward(params, cfg_text, ids, lora=lora, train=train, rng=rng)
+        yield idx, ids, spans, text_forward(params, cfg_text, ids, train=train, rng=rng)
 
 
 class TrainLog:
@@ -581,21 +579,13 @@ def train_mntp(
 
 
 def encode_pooled(
-    params,
-    cfg_text,
-    run: RunConfig,
-    seqs,
-    lora=None,
-    train=False,
-    rng=None,
-    normalize=True,
-    count=None,
+    params, cfg_text, run: RunConfig, seqs, train=False, rng=None, normalize=True, count=None
 ):
     """Pooled (and L2-normalized) rows of token sequences, in input order,
     from length-grouped forwards (`length_groups`)."""
     parts, order = [], []
     for idx, ids, spans, hidden in length_groups(
-        params, cfg_text, seqs, lora=lora, train=train, rng=rng, count=count
+        params, cfg_text, seqs, train=train, rng=rng, count=count
     ):
         parts.append(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
         order.append(idx)
@@ -692,8 +682,9 @@ def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
     return encode(text, vocab, max_len=run.max_len)
 
 
-def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=256):
-    """Data-dependent init of the projection centering vectors.
+def _center_projections(params, view, cfg_text, cfg_vision, run, items, limit=256):
+    """Data-dependent init of the projection centering vectors of `params`,
+    from the features of `view`, their merged frozen view.
 
     Both towers emit one dominant shared direction at init, so cosine
     similarities start near 1.0 for every pair — a neighborhood where the
@@ -702,9 +693,8 @@ def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=25
     starts the heads decorrelated; `mu` stays trainable afterwards.
     """
     probe = items[:limit]
-    view = frozen(params)
     seqs = [seq for seq, _ in probe]
-    t_rows = encode_pooled(view, cfg_text, run, seqs, lora=lora, normalize=False).data
+    t_rows = encode_pooled(view, cfg_text, run, seqs, normalize=False).data
     bs = run.batch_clip
     v_rows = [
         vision_forward(view, cfg_vision, np.stack([img for _, img in probe[i : i + bs]])).data
@@ -714,14 +704,14 @@ def _center_projections(params, cfg_text, cfg_vision, run, lora, items, limit=25
     params["proj_img.mu"].data = np.concatenate(v_rows).mean(axis=0)
 
 
-def _clip_project(params, cfg_text, cfg_vision, run, lora, items, train, rng, count=None):
+def _clip_project(params, cfg_text, cfg_vision, run, items, train, rng, count=None):
     """Projected (image, report) rows of a batch of (token sequence, image)
-    items, in the shared space."""
+    items, in the shared space. `params` hold the merged text weights
+    (`lora_merge`)."""
     seqs = [seq for seq, _ in items]
     images = np.stack([img for _, img in items])
     t_emb = encode_pooled(
-        params, cfg_text, run, seqs, lora=lora, train=train, rng=rng, normalize=False,
-        count=count,
+        params, cfg_text, run, seqs, train=train, rng=rng, normalize=False, count=count
     )
     v_emb = vision_forward(params, cfg_vision, images, train=train, rng=rng)
     t_proj = project(t_emb, params["proj_text.w"], params["proj_text.mu"])
@@ -767,7 +757,7 @@ def train_clip(
 
     train_items = items_for(train_studies)
     val_items = items_for(val_studies)
-    _center_projections(params, cfg_text, cfg_vision, run, lora, train_items)
+    _center_projections(params, lora_merge(frozen(params), lora), cfg_text, cfg_vision, run, train_items)
     lengths = [len(seq.ids) for seq, _ in train_items]
 
     def batches(epoch):
@@ -777,13 +767,13 @@ def train_clip(
     def step_loss(ids, step, count):
         rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
         batch = [train_items[j] for j in ids]
-        v_proj, t_proj = _clip_project(
-            params, cfg_text, cfg_vision, run, lora, batch, True, rng_drop, count
-        )
+        # merged once per step, so backward runs the fold once for all groups
+        merged = lora_merge(params, lora)
+        v_proj, t_proj = _clip_project(merged, cfg_text, cfg_vision, run, batch, True, rng_drop, count)
         return clip_loss(v_proj, t_proj, params["clip.log_tau"])
 
     def validate():
-        return _clip_val(params, cfg_text, cfg_vision, run, lora, val_items)
+        return _clip_val(lora_merge(frozen(params), lora), cfg_text, cfg_vision, run, val_items)
 
     return _train_stage(
         "clip", run, vocab, params, len(train_items), batches, step_loss, validate,
@@ -791,18 +781,16 @@ def train_clip(
     )
 
 
-def _clip_val(params, cfg_text, cfg_vision, run, lora, val_items) -> dict:
+def _clip_val(params, cfg_text, cfg_vision, run, val_items) -> dict:
     """Validation loss plus recall@{1,5,10} of image→report retrieval, both
-    from one projection of each batch."""
-    params = frozen(params)
+    from one projection of each batch of `params`, the merged frozen view
+    that `evals.DualEncoder` also serves."""
     bs = run.batch_clip
     total, count = 0.0, 0
     t_rows, v_rows = [], []
     for start in range(0, len(val_items), bs):
         batch = val_items[start : start + bs]
-        v_proj, t_proj = _clip_project(
-            params, cfg_text, cfg_vision, run, lora, batch, False, None
-        )
+        v_proj, t_proj = _clip_project(params, cfg_text, cfg_vision, run, batch, False, None)
         if len(batch) >= 2:
             loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
             total += float(loss.data) * len(batch)

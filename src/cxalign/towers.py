@@ -4,7 +4,9 @@ adapters and mean / latent-attention pooling, plus a patch-based vision
 transformer with learned absolute positions and projection heads.
 
 Parameters live in flat name -> Tensor dicts so freezing regimes and
-checkpoints are just name-prefix games.
+checkpoints are just name-prefix games. LoRA has one path, `lora_merge`:
+stage 3 trains through the merged weight that validation and the encoders
+run, so no layer has an adapter branch.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ class VisionTowerConfig:
 class LoraConfig:
     rank: int = 16
     alpha: float = 32.0
-    dropout: float = 0.1
+    dropout: float = 0.0
+
+    def __post_init__(self):
+        if self.dropout != 0.0:
+            raise ValueError(f"LoRA dropout {self.dropout}: adapter dropout has no merged form")
 
     @property
     def scaling(self) -> float:
@@ -187,7 +193,8 @@ def init_lora(params: dict, cfg: TextTowerConfig, lora: LoraConfig, rng) -> dict
 
 
 def lora_merge(params: dict, lora: LoraConfig) -> dict:
-    """Fold adapters into base weights: W + (alpha/r) * A @ B."""
+    """Fold adapters into base weights: W + (alpha/r) * A @ B, from autodiff
+    primitives, so trainable adapters get gradients and frozen ones no tape."""
     merged = {}
     for name, p in params.items():
         if name.startswith("lora."):
@@ -196,23 +203,15 @@ def lora_merge(params: dict, lora: LoraConfig) -> dict:
         if a_key in params:
             if params[a_key].shape[0] != p.shape[0] or params[b_key].shape[1] != p.shape[1]:
                 raise ShapeError(f"adapter shape mismatch for {name}")
-            merged[name] = Tensor(
-                p.data + lora.scaling * (params[a_key].data @ params[b_key].data),
-                requires_grad=p.requires_grad,
-            )
+            merged[name] = add(p, scale(matmul(params[a_key], params[b_key]), lora.scaling))
         else:
             merged[name] = p
     return merged
 
 
-def _linear(params, name, x, lora: LoraConfig | None, train, rng):
+def _linear(params, name, x):
     prefix, w = name.rsplit(".", 1)
-    y = linear(x, params[name], params[f"{prefix}.b{w[1]}"])
-    a_key = f"lora.{name}.A"
-    if lora is not None and a_key in params:
-        xa = dropout(x, lora.dropout, rng, train) if train else x
-        y = add(y, scale(matmul(matmul(xa, params[a_key]), params[f"lora.{name}.B"]), lora.scaling))
-    return y
+    return linear(x, params[name], params[f"{prefix}.b{w[1]}"])
 
 
 @lru_cache(maxsize=None)
@@ -224,19 +223,19 @@ def rotary_tables(T: int, dh: int) -> tuple:
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-def _attention(params, prefix, x, bias, heads, lora, train, rng, p_drop, rope):
-    q = _linear(params, f"{prefix}.wq", x, lora, train, rng)
-    k = _linear(params, f"{prefix}.wk", x, lora, train, rng)
-    v = _linear(params, f"{prefix}.wv", x, lora, train, rng)
+def _attention(params, prefix, x, bias, heads, train, rng, p_drop, rope):
+    q = _linear(params, f"{prefix}.wq", x)
+    k = _linear(params, f"{prefix}.wk", x)
+    v = _linear(params, f"{prefix}.wv", x)
     cos, sin = rotary_tables(x.shape[1], x.shape[2] // heads) if rope else (None, None)
     ctx = attention(q, k, v, heads, cos, sin, bias)
-    out = _linear(params, f"{prefix}.wo", ctx, lora, train, rng)
+    out = _linear(params, f"{prefix}.wo", ctx)
     return dropout(out, p_drop, rng, train)
 
 
-def _ffn(params, prefix, x, lora, train, rng, p_drop):
-    h = gelu(_linear(params, f"{prefix}.w1", x, lora, train, rng))
-    out = _linear(params, f"{prefix}.w2", h, lora, train, rng)
+def _ffn(params, prefix, x, train, rng, p_drop):
+    h = gelu(_linear(params, f"{prefix}.w1", x))
+    out = _linear(params, f"{prefix}.w2", h)
     return dropout(out, p_drop, rng, train)
 
 
@@ -244,11 +243,11 @@ def _affine_ln(params, prefix, x):
     return affine_layer_norm(x, params[f"{prefix}g"], params[f"{prefix}b"])
 
 
-def _blocks(params, tower, x, bias, layers, heads, lora, train, rng, p_drop, rope=False):
+def _blocks(params, tower, x, bias, layers, heads, train, rng, p_drop, rope=False):
     for i in range(layers):
         prefix = f"{tower}.l{i}"
-        x = add(x, _attention(params, prefix, _affine_ln(params, f"{prefix}.ln1", x), bias, heads, lora, train, rng, p_drop, rope))
-        x = add(x, _ffn(params, prefix, _affine_ln(params, f"{prefix}.ln2", x), lora, train, rng, p_drop))
+        x = add(x, _attention(params, prefix, _affine_ln(params, f"{prefix}.ln1", x), bias, heads, train, rng, p_drop, rope))
+        x = add(x, _ffn(params, prefix, _affine_ln(params, f"{prefix}.ln2", x), train, rng, p_drop))
     return _affine_ln(params, f"{tower}.lnf", x)
 
 
@@ -279,7 +278,9 @@ def text_forward(
 ) -> Tensor:
     """(B, T, d) hidden states. Token embeddings carry no position; each
     attention layer rotates queries and keys by their position, so scores
-    depend only on the offset between query and key."""
+    depend only on the offset between query and key. With `lora`, the
+    adapters in `params` fold into their base weights first (`lora_merge`)."""
+    params = lora_merge(params, lora) if lora is not None else params
     ids = np.asarray(ids, dtype=np.int64)
     if ids.max() >= cfg.vocab_size:
         raise ShapeError(f"token id {int(ids.max())} >= vocab size {cfg.vocab_size}")
@@ -289,9 +290,7 @@ def text_forward(
     mode = mode or cfg.mask_mode
     x = dropout(embedding(params["text.tok_emb"], ids), cfg.dropout, rng, train)
     bias = attention_bias(ids, mode)
-    return _blocks(
-        params, "text", x, bias, cfg.layers, cfg.heads, lora, train, rng, cfg.dropout, rope=True
-    )
+    return _blocks(params, "text", x, bias, cfg.layers, cfg.heads, train, rng, cfg.dropout, rope=True)
 
 
 def eligible_mask(ids: np.ndarray, instruction_spans) -> np.ndarray:
@@ -350,7 +349,7 @@ def vision_forward(
     T = cfg.n_patches + 1
     x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
     x = dropout(x, cfg.dropout, rng, train)
-    h = _blocks(params, "vision", x, None, cfg.layers, cfg.heads, None, train, rng, cfg.dropout)
+    h = _blocks(params, "vision", x, None, cfg.layers, cfg.heads, train, rng, cfg.dropout)
     if cfg.readout == "mean":
         weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
         return reshape(matmul(Tensor(weights), h), (B, cfg.model_dim))

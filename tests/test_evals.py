@@ -35,6 +35,7 @@ from cxalign.towers import (
     init_projection,
     init_text_tower,
     init_vision_tower,
+    lora_merge,
     project,
 )
 
@@ -295,6 +296,14 @@ def test_report_rejects_out_of_range_metric():
         EvalReport(tasks={"t": {"accuracy": 1.2}})
 
 
+def test_report_takes_counts_as_counts():
+    """The judge's `flagged` is a count of unparseable candidates, not a
+    rate, and like `items` and `excluded` it may exceed 1."""
+    judge = {"mean_rank_truth": 1.2, "flagged": 2, "items": 5}
+    rep = EvalReport(tasks={"judge": judge})
+    assert EvalReport.from_json(rep.to_json()).tasks["judge"] == judge
+
+
 def test_report_json_is_stable():
     rep = EvalReport(tasks={"t": {"accuracy": 0.5}})
     assert json.loads(rep.to_json())["tasks"]["t"]["accuracy"] == 0.5
@@ -354,12 +363,34 @@ def test_dual_encoder_folds_lora_within_tolerance():
     seqs = [encode(t, result.vocab, max_len=run.max_len) for t in texts]
     view = frozen(result.params)
     cfg_text = run.text_config(len(result.vocab))
-    adapted = encode_pooled(view, cfg_text, run, seqs, lora=run.lora_config(), normalize=False)
-    unfolded = encode_pooled(view, cfg_text, run, seqs, lora=None, normalize=False)
+    adapted = encode_pooled(lora_merge(view, run.lora_config()), cfg_text, run, seqs, normalize=False)
+    unfolded = encode_pooled(view, cfg_text, run, seqs, normalize=False)
     assert np.abs(adapted.data - unfolded.data).max() > 1e-3  # the adapters matter
     reports = project(adapted, view["proj_text.w"], view["proj_text.mu"]).data
     assert np.abs(enc.embed_reports(texts) - reports).max() <= 1e-5
     assert np.abs(enc.embed(texts) - l2_normalize(adapted).data).max() <= 1e-5
+
+
+def test_dual_encoder_fold_records_no_tape(monkeypatch):
+    """Building an encoder from a result whose adapters still train folds
+    over frozen views: no primitive records a tape node."""
+    from cxalign import autodiff
+
+    studies = generate_corpus(4, seed=13)
+    run = RunConfig(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4)
+    result = _stage3_result(run, studies)
+    assert all(p.requires_grad for n, p in result.params.items() if n.startswith("lora."))
+    outputs = []
+
+    def spy(*args, _orig=autodiff._track):
+        outputs.append(_orig(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(autodiff, "_track", spy)
+    enc = DualEncoder(result)
+    assert outputs, "the fold ran no primitive"
+    assert not any(t.requires_grad for t in outputs)
+    assert not any(p.requires_grad for p in enc.params.values())
 
 
 def _count_calls(monkeypatch, fn):

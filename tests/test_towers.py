@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxalign.autodiff import NonFiniteError, ShapeError, Tensor
+from conftest import finite_difference, rel_error
+from cxalign.autodiff import NonFiniteError, ShapeError, Tensor, backward, mul, sum_
 from cxalign.tokenizer import BOS, EOS, PAD
 from cxalign import towers as tw
 
@@ -183,6 +184,51 @@ def test_lora_alpha_zero_inert(params):
     np.testing.assert_array_equal(
         tw.text_forward(params, CFG, ids).data, tw.text_forward(full, CFG, ids, lora=lcfg).data
     )
+
+
+def test_lora_gradients_through_merge():
+    """Stage 3's gradients: through `text_forward(..., lora=)`, which merges
+    at entry, finite differences of a scalar match backward for every
+    adapter A and B (B nonzero), at criterion 1's tolerance; the frozen
+    base gets no gradient."""
+    rng = np.random.default_rng(0)
+    cfg = tw.TextTowerConfig(vocab_size=30, layers=1, model_dim=8, heads=2, ffn_dim=16, dropout=0.0)
+    lcfg = tw.LoraConfig(rank=2, alpha=4.0)
+    params = tw.init_text_tower(cfg, rng)
+    params.update(tw.init_lora(params, cfg, lcfg, rng))
+    # larger weights than at init keep layer norm's inputs away from zero
+    # variance, where its curvature would swamp the central differences
+    for name, p in params.items():
+        if p.data.ndim == 2:
+            std = 0.1 if name.startswith("lora.") else 0.3
+            p.data = rng.normal(0, std, p.shape).astype(np.float32)
+    tw.set_trainable(params, lambda n: n.startswith("lora."))
+    ids = rng.integers(7, 30, size=(2, 5))
+    weights = Tensor(rng.normal(size=(2, 5, cfg.model_dim)).astype(np.float32))
+
+    def value():
+        return sum_(mul(tw.text_forward(params, cfg, ids, lora=lcfg), weights))
+
+    backward(value())
+    adapters = [n for n in params if n.startswith("lora.")]
+    assert len(adapters) == 2 * len(tw.LORA_TARGETS)
+    for name in adapters:
+        x0 = params[name].data.copy()
+
+        def f(v, name=name):
+            params[name].data = v.astype(np.float32)
+            return float(value().data)
+
+        numeric = finite_difference(f, x0.astype(np.float64), h=1e-2)
+        params[name].data = x0
+        assert rel_error(params[name].grad, numeric) <= 1e-3, name
+    assert all(p.grad is None for n, p in params.items() if n.startswith("text."))
+
+
+def test_lora_dropout_rejected():
+    with pytest.raises(ValueError, match="dropout"):
+        tw.LoraConfig(dropout=0.1)
+    assert tw.LoraConfig(dropout=0.0).dropout == 0.0
 
 
 # ---------------------------------------------------------------------------
