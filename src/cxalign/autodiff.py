@@ -1,11 +1,13 @@
 """Reverse-mode autodiff over dense float32 numpy arrays.
 
 A Tensor wraps an ndarray and remembers the primitive application that
-produced it; backward() replays the graph in reverse topological order.
+produced it; `backward(root)` replays the graph in reverse topological
+order. Tensors have no operators: every op is a primitive called by name.
 The primitive set is fixed: matmul, add, mul, scale, a fused affine map
 (linear), softmax, layer norm, rotary positions, embedding lookup, GELU,
-row L2 normalization, cross entropy from logits, dropout, a sum reduction,
-plus shape plumbing (reshape, transpose, concat, row gather). Two fused
+exp, an upper clamp (`minimum_const`), row L2 normalization, cross entropy
+from logits, dropout, a sum of all elements, plus shape plumbing (reshape,
+transpose, concat, row gather). Two fused
 primitives carry a transformer block in a few nodes: `attention` (head
 split, rotary, scaled and biased softmax, context product and head merge)
 and `affine_layer_norm` (layer norm, gain and shift). Each shares its math
@@ -44,7 +46,6 @@ __all__ = [
     "rotary",
     "exp",
     "minimum_const",
-    "maximum_const",
     "l2_normalize",
     "embedding",
     "cross_entropy",
@@ -84,13 +85,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def _accumulate(self, g: np.ndarray) -> None:
         # never in place: a backward function may hand the same array to
         # several parents, so a stored gradient must not be mutated
@@ -98,30 +92,6 @@ class Tensor:
             self.grad = np.asarray(g, dtype=np.float32)
         else:
             self.grad = (self.grad + g).astype(np.float32, copy=False)
-
-    def backward(self) -> None:
-        backward(self)
-
-    # light operator sugar used throughout the towers
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -293,14 +263,12 @@ def take_rows(a, idx) -> Tensor:
     return _track(out, (a,), bwd)
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a) -> Tensor:
+    """Sum of every element, as a scalar."""
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum()
 
     def bwd(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape),)
 
     return _track(np.asarray(out, dtype=np.float32), (a,), bwd)
@@ -510,17 +478,6 @@ def minimum_const(a, c: float) -> Tensor:
     a = _as_tensor(a)
     out = np.minimum(a.data, np.float32(c))
     passed = (a.data < c).astype(np.float32)
-
-    def bwd(g):
-        return (g * passed,)
-
-    return _track(out, (a,), bwd)
-
-
-def maximum_const(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, np.float32(c))
-    passed = (a.data > c).astype(np.float32)
 
     def bwd(g):
         return (g * passed,)

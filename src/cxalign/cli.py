@@ -198,6 +198,20 @@ def _parse_requirement(spec: str):
     return name.strip(), float(value)
 
 
+# `cxalign eval --task` choices: each maps (evals module, encoder, train
+# split, val split) to its metrics. The module is passed in because heavy
+# modules are imported only inside the command handlers.
+EVAL_TASKS = {
+    "task1": lambda ev, enc, train, val: ev.task1_prior_omitted(enc, val),
+    "task2": lambda ev, enc, train, val: ev.task2_summarization(enc, val),
+    "task3": lambda ev, enc, train, val: ev.task3_error_discrimination(enc, val),
+    "task4": lambda ev, enc, train, val: ev.task4_acronym(enc, val),
+    "task5": lambda ev, enc, train, val: ev.task5_clinical_similarity(enc, val, train),
+    "multimodal": lambda ev, enc, train, val: ev.multimodal_eval(enc, val, train),
+    "judge": lambda ev, enc, train, val: ev.judge_eval(val),
+}
+
+
 def cmd_eval(args) -> int:
     from . import evals
     from .grammar.corpus import read_corpus
@@ -207,23 +221,10 @@ def cmd_eval(args) -> int:
     studies = read_corpus(args.corpus)
     train, val = split_corpus(studies)
     task = args.task
-    if task == "task1":
-        metrics = evals.task1_prior_omitted(encoder, val)
-    elif task == "task2":
-        metrics = evals.task2_summarization(encoder, val)
-    elif task == "task3":
-        metrics = evals.task3_error_discrimination(encoder, val)
-    elif task == "task4":
-        metrics = evals.task4_acronym(encoder, val)
-    elif task == "task5":
-        metrics = evals.task5_clinical_similarity(encoder, val, train)
-    elif task == "multimodal":
-        if result.stage != "clip":
-            print("eval multimodal needs a stage-3 (clip) checkpoint", file=sys.stderr)
-            return 2
-        metrics = evals.multimodal_eval(encoder, val, train)
-    else:  # judge
-        metrics = evals.judge_eval(val)
+    if task == "multimodal" and result.stage != "clip":
+        print("eval multimodal needs a stage-3 (clip) checkpoint", file=sys.stderr)
+        return 2
+    metrics = EVAL_TASKS[task](evals, encoder, train, val)
     report = evals.EvalReport(
         {task: metrics},
         config_digest=result.config.digest(),
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--task",
         required=True,
-        choices=("task1", "task2", "task3", "task4", "task5", "multimodal", "judge"),
+        choices=tuple(EVAL_TASKS),
     )
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)

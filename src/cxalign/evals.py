@@ -315,7 +315,8 @@ def multimodal_eval(encoder: DualEncoder, test_studies, pool_studies, section="f
     ids = [s.study_id for s in test_studies]
     q = EmbeddingIndex(ids, encoder.embed_images([s.image for s in test_studies]), "image")
     p = EmbeddingIndex(
-        ids, encoder.embed_reports([_section_text(s, section) for s in test_studies])
+        ids,
+        encoder.embed_reports([_section_text(s, section) for s in test_studies], section=section),
     )
     k = min(max(RECALL_KS), len(p))
     ranked = retrieve_topk(q, p, k)
@@ -323,7 +324,9 @@ def multimodal_eval(encoder: DualEncoder, test_studies, pool_studies, section="f
     if pool_studies:
         big = EmbeddingIndex(
             [s.study_id for s in pool_studies],
-            encoder.embed_reports([_section_text(s, section) for s in pool_studies]),
+            encoder.embed_reports(
+                [_section_text(s, section) for s in pool_studies], section=section
+            ),
         )
         by_id = {s.study_id: s for s in pool_studies}
         top1 = [ids2[0] for ids2 in retrieve_topk(q, big, 1)]

@@ -16,6 +16,7 @@ from .evals import (
     TextEncoder,
     hash_embeddings,
     multimodal_eval,
+    recall_at_k,
     retrieve_topk,
     task1_prior_omitted,
     task3_error_discrimination,
@@ -96,13 +97,8 @@ def ablation_section_aware(n: int = 500, seed: int = 4096, epochs_clip: int = 6)
     for aware in (True, False):
         run = replace(base_run, section_aware=aware)
         r3 = train_clip(studies, run, text_init=r2, section_of=mixed_section_of)
-        enc = DualEncoder(r3)
-        ids = [s.study_id for s in val_imp]
-        q = EmbeddingIndex(ids, enc.embed_images([s.image for s in val_imp]), "image")
-        p = EmbeddingIndex(ids, enc.embed_reports([s.impression_text for s in val_imp], section="impression"))
-        top = retrieve_topk(q, p, min(10, len(p)))
         key = "section_aware" if aware else "non_sectioned"
-        out[key] = sum(1 for ids_, t in zip(top, ids) if t == ids_[0]) / len(ids)
+        out[key] = multimodal_eval(DualEncoder(r3), val_imp, [], section="impression")["recall@1"]
     return out
 
 
@@ -111,5 +107,4 @@ def random_baseline_recall(studies, k: int = 1, salt: str = "base") -> float:
     ids = [s.study_id for s in studies]
     q = EmbeddingIndex(ids, hash_embeddings([s.study_id + "/q" for s in studies], salt=salt))
     p = EmbeddingIndex(ids, hash_embeddings([s.study_id + "/p" for s in studies], salt=salt))
-    top = retrieve_topk(q, p, k)
-    return sum(1 for ids_, t in zip(top, ids) if t in ids_) / len(ids)
+    return recall_at_k(retrieve_topk(q, p, k), ids, ks=(k,))[f"recall@{k}"]

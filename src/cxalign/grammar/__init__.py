@@ -11,7 +11,7 @@ from .types import (
     LatentStudy,
     RenderedStudy,
 )
-from .lexicon import DEFAULT_LEXICON, expand_acronyms, read_lexicon, write_lexicon
+from .lexicon import DEFAULT_LEXICON, expand_acronyms
 from .sampler import sample_latent_study
 from .render import (
     abbreviate_text,
@@ -36,8 +36,6 @@ __all__ = [
     "RenderedStudy",
     "DEFAULT_LEXICON",
     "expand_acronyms",
-    "read_lexicon",
-    "write_lexicon",
     "sample_latent_study",
     "render_report",
     "make_variants",

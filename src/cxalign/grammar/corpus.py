@@ -32,15 +32,11 @@ def build_study(latent: LatentStudy, seed: int, index: int, noise_sigma: float) 
     )
 
 
-def generate_corpus(
-    n: int,
-    seed: int,
-    profile: GenProfile | None = None,
-    noise_sigma: float = 0.05,
-) -> list[RenderedStudy]:
-    """Deterministic corpus of paired studies: same (n, seed, profile,
-    noise_sigma) always yields bit-identical output."""
-    profile = profile or GenProfile()
+def generate_corpus(n: int, seed: int, noise_sigma: float = 0.05) -> list[RenderedStudy]:
+    """Deterministic corpus of paired studies, sampled from the default
+    `GenProfile`: same (n, seed, noise_sigma) always yields bit-identical
+    output."""
+    profile = GenProfile()
     out = []
     for i in range(n):
         rng = np.random.default_rng([seed, i, 0])

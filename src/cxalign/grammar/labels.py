@@ -143,9 +143,9 @@ def _parse_clause(clause: str):
     return [(kind, loc, severity, negated, temporal)]
 
 
-def extract_labels(text: str, lexicon: dict | None = None) -> LabelExtraction:
+def extract_labels(text: str) -> LabelExtraction:
     """Parse grammar text (any style or variant) into exact label tuples."""
-    low = expand_acronyms(text, lexicon).lower()
+    low = expand_acronyms(text).lower()
     for heading in _HEADINGS:
         low = low.replace(heading, " ")
     labels: list = []

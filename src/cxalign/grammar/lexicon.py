@@ -33,11 +33,10 @@ def _validate(lexicon: dict) -> None:
 _validate(DEFAULT_LEXICON)
 
 
-def expand_acronyms(text: str, lexicon: dict | None = None) -> str:
+def expand_acronyms(text: str) -> str:
     """Replace every shorthand with its expansion, one pass, case-insensitive."""
-    lexicon = DEFAULT_LEXICON if lexicon is None else lexicon
     out = text
-    for key, expansion in sorted(lexicon.items(), key=lambda kv: -len(kv[0])):
+    for key, expansion in sorted(DEFAULT_LEXICON.items(), key=lambda kv: -len(kv[0])):
         out = re.sub(
             rf"(?<![a-zA-Z0-9]){re.escape(key)}(?![a-zA-Z0-9])",
             expansion,
@@ -47,11 +46,10 @@ def expand_acronyms(text: str, lexicon: dict | None = None) -> str:
     return out
 
 
-def contract_acronyms(text: str, lexicon: dict | None = None) -> str:
+def contract_acronyms(text: str) -> str:
     """Reverse lookup: replace expansions with their shorthand."""
-    lexicon = DEFAULT_LEXICON if lexicon is None else lexicon
     out = text
-    for key, expansion in sorted(lexicon.items(), key=lambda kv: -len(kv[1])):
+    for key, expansion in sorted(DEFAULT_LEXICON.items(), key=lambda kv: -len(kv[1])):
         out = re.sub(
             rf"(?<![a-zA-Z0-9]){re.escape(expansion)}(?![a-zA-Z0-9])",
             key,
@@ -60,24 +58,3 @@ def contract_acronyms(text: str, lexicon: dict | None = None) -> str:
         )
     return out
 
-
-def write_lexicon(path, lexicon: dict | None = None) -> None:
-    lexicon = DEFAULT_LEXICON if lexicon is None else lexicon
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, expansion in lexicon.items():
-            fh.write(f"{key}={expansion}\n")
-
-
-def read_lexicon(path) -> dict:
-    lexicon = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"lexicon line {lineno}: expected key=expansion")
-            key, expansion = line.split("=", 1)
-            lexicon[key.strip()] = expansion.strip()
-    _validate(lexicon)
-    return lexicon

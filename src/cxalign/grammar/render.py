@@ -192,14 +192,14 @@ def _clauseable(f: LatentFinding) -> bool:
     return not f.negated and f.kind != "cardiomegaly"
 
 
-def _findings_sentences_canonical(findings, compound: bool = True) -> list[str]:
+def _findings_sentences_canonical(findings) -> list[str]:
     """Bank-0 sentences; adjacent clause-able findings pair into compounds."""
     out = []
     i = 0
     fs = list(findings)
     while i < len(fs):
         f = fs[i]
-        if compound and _clauseable(f) and i + 1 < len(fs) and _clauseable(fs[i + 1]):
+        if _clauseable(f) and i + 1 < len(fs) and _clauseable(fs[i + 1]):
             out.append(f"There is {_positive_clause(f)}, and {_positive_clause(fs[i + 1])}.")
             i += 2
         else:
@@ -265,9 +265,9 @@ def drop_articles(text: str) -> str:
     return re.sub(r"\b([Aa]n?|[Tt]he)\s+", "", text)
 
 
-def abbreviate_text(text: str, lexicon: dict | None = None) -> str:
+def abbreviate_text(text: str) -> str:
     """Shorthand style: reverse lexicon lookup plus article dropping."""
-    return drop_articles(contract_acronyms(text, lexicon))
+    return drop_articles(contract_acronyms(text))
 
 
 def render_report(study: LatentStudy, style: str = "canonical") -> tuple[str, str]:
@@ -374,8 +374,8 @@ def _swap_side(location: str) -> str:
     return ("left" if side == "right" else "right") + f" {row}"
 
 
-def inject_errors(study: LatentStudy, rng: np.random.Generator, n_errors: int = 3):
-    """Synthesize `n_errors` tagged erroneous impressions, each one edit away
+def inject_errors(study: LatentStudy, rng: np.random.Generator):
+    """Synthesize three tagged erroneous impressions, each one edit away
     from the true impression and guaranteed label-distinct from it."""
     from .labels import extract_labels  # local import avoids a cycle
 
@@ -407,11 +407,11 @@ def inject_errors(study: LatentStudy, rng: np.random.Generator, n_errors: int = 
     if devices:
         device_eligible.append("Change Position of Device")
 
-    # non-device categories first, per the generation protocol
+    # non-device categories first, per the generation protocol; "False
+    # Prediction" and "Add Opposite Sentence" are always eligible, so with
+    # the one device category there are always at least three
     order = list(rng.permutation(eligible)) + list(rng.permutation(device_eligible))
-    chosen = order[:n_errors]
-    while len(chosen) < n_errors:
-        chosen.append("False Prediction")
+    chosen = order[:3]
 
     used_insertions: set = set()
 

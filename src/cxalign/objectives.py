@@ -120,33 +120,26 @@ class ContrastivePair:
     label_key: object
 
 
-def build_contrastive_pairs(studies, rng: np.random.Generator, mix=None) -> list:
+def build_contrastive_pairs(studies, rng: np.random.Generator) -> list:
     """Instruction-tagged (anchor, positive) pairs from a rendered corpus.
 
     Relation (i) pairs a report with one of its variants (including the
     abbreviated form), (ii) pairs findings with impression, (iii) pairs the
     report with a canonical status sentence for one of its findings.
     """
-    mix = mix or {"similar": 1.0, "summarize": 1.0, "status": 1.0}
     pairs = []
     for s in studies:
         key = s.latent.label_set()
-        if mix.get("similar", 0) > 0:
-            variant = ["paraphrase", "split", "prior_omitted", "partitioned", "abbreviated"][
-                int(rng.integers(5))
-            ]
-            text = s.variants[variant]
-            if text != s.findings_text:
-                pairs.append(
-                    ContrastivePair(s.findings_text, INSTR_SIMILAR, text, "similar", key)
-                )
-        if mix.get("summarize", 0) > 0:
-            pairs.append(
-                ContrastivePair(
-                    s.findings_text, INSTR_SUMMARIZE, s.impression_text, "summarize", key
-                )
-            )
-        if mix.get("status", 0) > 0 and s.latent.findings:
+        variant = ["paraphrase", "split", "prior_omitted", "partitioned", "abbreviated"][
+            int(rng.integers(5))
+        ]
+        text = s.variants[variant]
+        if text != s.findings_text:
+            pairs.append(ContrastivePair(s.findings_text, INSTR_SIMILAR, text, "similar", key))
+        pairs.append(
+            ContrastivePair(s.findings_text, INSTR_SUMMARIZE, s.impression_text, "summarize", key)
+        )
+        if s.latent.findings:
             f = s.latent.findings[int(rng.integers(len(s.latent.findings)))]
             status = finding_status(f)
             pairs.append(
@@ -172,10 +165,11 @@ DEFAULT_VARIANT_MIX = {
 }
 
 
-def mntp_text_pool(studies, mix=None) -> list:
-    """Texts for masked pretraining, allocated by the variant-mix proportions
-    (largest remainder), plus every impression and abbreviated form."""
-    mix = mix or DEFAULT_VARIANT_MIX
+def mntp_text_pool(studies) -> list:
+    """Texts for masked pretraining, allocated by the `DEFAULT_VARIANT_MIX`
+    proportions (largest remainder), plus every impression and abbreviated
+    form."""
+    mix = DEFAULT_VARIANT_MIX
     total = sum(mix.values())
     n = len(studies)
     source = {
@@ -194,10 +188,10 @@ def mntp_text_pool(studies, mix=None) -> list:
         counts[k] += 1
     texts = []
     for k, getter in source.items():
-        for s in studies[: min(counts.get(k, 0), n)]:
+        for s in studies[: min(counts[k], n)]:
             texts.append(getter(s))
         # wrap around when the quota exceeds the corpus size
-        extra = counts.get(k, 0) - n
+        extra = counts[k] - n
         for s in studies[: max(extra, 0)]:
             texts.append(getter(s))
     for s in studies:

@@ -147,7 +147,6 @@ class RunConfig:
             ffn_dim=self.ffn_dim,
             max_len=self.max_len,
             mask_mode=self.mask_mode,
-            pooling=self.pooling,
             dropout=self.dropout,
         )
 

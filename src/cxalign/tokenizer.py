@@ -91,15 +91,10 @@ def build_vocab(texts) -> Vocabulary:
 @dataclass
 class TokenSequence:
     ids: list
-    attention_mode: str = "bidirectional"  # or "causal"
     instruction_span: tuple = (1, 1)  # half-open prefix range excluded from pooling
     mask_positions: list = field(default_factory=list)
     mask_targets: list = field(default_factory=list)
     truncated: bool = False
-
-    def __post_init__(self):
-        if self.attention_mode not in ("causal", "bidirectional"):
-            raise ValueError(f"unknown attention mode {self.attention_mode!r}")
 
     def content_range(self) -> tuple:
         """Positions eligible for masking/pooling: after the instruction
@@ -114,7 +109,6 @@ def encode(
     section: str | None = None,
     max_len: int = 128,
     strict: bool = True,
-    attention_mode: str = "bidirectional",
 ) -> TokenSequence:
     """Layout: BOS, instruction tokens, section token, content, EOS."""
     prefix = [BOS]
@@ -134,7 +128,6 @@ def encode(
         truncated = True
     return TokenSequence(
         ids=prefix + content + [EOS],
-        attention_mode=attention_mode,
         instruction_span=(1, len(prefix)),
         truncated=truncated,
     )

@@ -50,7 +50,6 @@ class TextTowerConfig:
     ffn_dim: int = 256
     max_len: int = 128
     mask_mode: str = "bidirectional"
-    pooling: str = "latent"
     dropout: float = 0.1
     latent_rows: int = 8
 
@@ -59,8 +58,6 @@ class TextTowerConfig:
             raise ValueError("model_dim must be divisible by heads")
         if self.mask_mode not in ("causal", "bidirectional"):
             raise ValueError(f"unknown mask mode {self.mask_mode!r}")
-        if self.pooling not in ("mean", "latent"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
 
 
 @dataclass
@@ -72,15 +69,12 @@ class VisionTowerConfig:
     heads: int = 4
     ffn_dim: int = 256
     dropout: float = 0.1
-    readout: str = "mean"
 
     def __post_init__(self):
         if self.image_size % self.patch_size:
             raise ValueError("image size must be divisible by patch size")
         if self.model_dim % self.heads:
             raise ValueError("model_dim must be divisible by heads")
-        if self.readout not in ("mean", "cls"):
-            raise ValueError(f"unknown readout {self.readout!r}")
 
     @property
     def n_patches(self) -> int:
@@ -350,11 +344,9 @@ def vision_forward(
     x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
     x = dropout(x, cfg.dropout, rng, train)
     h = _blocks(params, "vision", x, None, cfg.layers, cfg.heads, train, rng, cfg.dropout)
-    if cfg.readout == "mean":
-        weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
-        return reshape(matmul(Tensor(weights), h), (B, cfg.model_dim))
-    flat = reshape(h, (B * T, cfg.model_dim))
-    return take_rows(flat, np.arange(B) * T)
+    # readout: the mean over all T tokens, the cls token included
+    weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
+    return reshape(matmul(Tensor(weights), h), (B, cfg.model_dim))
 
 
 def project(emb: Tensor, head_w: Tensor, mu: Tensor | None = None) -> Tensor:

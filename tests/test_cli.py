@@ -255,3 +255,35 @@ def test_manifests_record_item_counts(workdir, tmp_path):
         out = tmp_path / f"{task}.json"
         main(["eval", "--task", task, "--ckpt", str(workdir / ckpt), "--corpus", str(corpus), "--out", str(out)])
         assert json.loads((tmp_path / f"{task}.json.manifest.json").read_text())["items"] == len(val)
+
+
+def test_every_eval_task_dispatches_to_its_own_function(workdir, tmp_path, monkeypatch):
+    """The --task choices are the task table's keys, and each choice runs
+    exactly one evals function, a different one per choice."""
+    from cxalign import evals
+    from cxalign.cli import EVAL_TASKS, build_parser
+
+    eval_parser = build_parser()._subparsers._group_actions[0].choices["eval"]
+    (task_action,) = [a for a in eval_parser._actions if a.dest == "task"]
+    assert tuple(task_action.choices) == tuple(EVAL_TASKS)
+
+    calls = []
+    for name in (
+        "task1_prior_omitted", "task2_summarization", "task3_error_discrimination",
+        "task4_acronym", "task5_clinical_similarity", "multimodal_eval", "judge_eval",
+    ):
+        monkeypatch.setattr(evals, name, lambda *a, _name=name, **k: calls.append(_name) or {})
+    ran = {}
+    for task in task_action.choices:
+        calls.clear()
+        out = tmp_path / f"{task}.json"
+        main([
+            "eval", "--task", task,
+            "--ckpt", str(workdir / "s3"),
+            "--corpus", str(workdir / "corpus.jsonl"),
+            "--out", str(out),
+        ])
+        assert len(calls) == 1, (task, calls)
+        assert list(json.loads(out.read_text())["tasks"]) == [task]
+        ran[task] = calls[0]
+    assert len(set(ran.values())) == len(ran), ran

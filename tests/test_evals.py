@@ -16,6 +16,7 @@ from cxalign.evals import (
     judge_eval,
     judge_score,
     macro_f1_kinds,
+    multimodal_eval,
     oracle_judge_rank,
     recall_at_k,
     retrieve_topk,
@@ -454,3 +455,27 @@ def test_empty_inputs_embed_to_zero_rows(dual_encoder):
     assert enc.embed([]).shape == (0, enc.run.model_dim)
     assert enc.embed_reports([]).shape == (0, enc.run.shared_dim)
     assert enc.embed_images([]).shape == (0, enc.run.shared_dim)
+
+
+def test_multimodal_eval_embeds_reports_in_its_section(monkeypatch):
+    """A section-aware encoder tags impression reports as impressions: every
+    report `multimodal_eval(section="impression")` embeds, test and pool
+    alike, is encoded with the impression section."""
+    from cxalign import evals
+
+    studies = generate_corpus(20, seed=12)
+    run = RunConfig(
+        layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4,
+        section_aware=True,
+    )
+    enc = DualEncoder(_stage3_result(run, studies))
+    sections = []
+
+    def spy(*args, _orig=evals.encode, **kwargs):
+        sections.append(kwargs.get("section"))
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(evals, "encode", spy)
+    out = multimodal_eval(enc, studies[:8], studies[8:], section="impression")
+    assert "recall@1" in out and "macro_f1" in out
+    assert sections == ["impression"] * len(studies)
