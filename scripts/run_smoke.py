@@ -27,7 +27,7 @@ def main() -> int:
     args = parser.parse_args()
 
     metrics = run_smoke(n=args.n, seed=args.seed)["metrics"]
-    print(json.dumps({k: v for k, v in metrics.items() if k != "stages"}, indent=2))
+    print(json.dumps(metrics, indent=2))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(metrics, fh, indent=2)

@@ -16,7 +16,7 @@ from .grammar.labels import extract_labels
 from .grammar.render import render_report
 from .grammar.types import KINDS
 from .objectives import INSTR_IMAGE, INSTR_SUMMARIZE
-from .pipeline import GROUP_ROWS, RunConfig, StageResult, encode_pooled
+from .pipeline import GROUP_ROWS, RunConfig, StageResult, encode_pooled, section_text
 from .tokenizer import encode
 from .towers import frozen, lora_merge, project, vision_forward
 
@@ -224,12 +224,29 @@ def entity_f1(query_labels, retrieved_labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _retrieval_task(encoder, queries, pool_texts, ids, instruction=None) -> dict:
-    q = EmbeddingIndex(ids, encoder.embed(queries, instruction=instruction))
-    p = EmbeddingIndex(ids, encoder.embed(pool_texts))
+def _recalls(q: EmbeddingIndex, p: EmbeddingIndex) -> dict:
+    """recall@k of each query's own id in the same-id pool, for every k in
+    `RECALL_KS` the pool can fill."""
     k = min(max(RECALL_KS), len(p))
     ranked = retrieve_topk(q, p, k)
-    return recall_at_k(ranked, ids, ks=[k2 for k2 in RECALL_KS if k2 <= k])
+    return recall_at_k(ranked, q.ids, ks=[k2 for k2 in RECALL_KS if k2 <= k])
+
+
+def _top1_label_agreement(q: EmbeddingIndex, query_studies, p: EmbeddingIndex, pool) -> dict:
+    """Oracle label agreement of each query study with its top-1 pool study."""
+    by_id = {s.study_id: s for s in pool}
+    top1 = [ids[0] for ids in retrieve_topk(q, p, 1)]
+    q_labels = [sorted(s.latent.label_set()) for s in query_studies]
+    r_labels = [sorted(by_id[i].latent.label_set()) for i in top1]
+    return {
+        "macro_f1": macro_f1_kinds(q_labels, r_labels),
+        "entity_f1": entity_f1(q_labels, r_labels),
+    }
+
+
+def _retrieval_task(encoder, queries, pool_texts, ids, instruction=None) -> dict:
+    q = EmbeddingIndex(ids, encoder.embed(queries, instruction=instruction))
+    return _recalls(q, EmbeddingIndex(ids, encoder.embed(pool_texts)))
 
 
 def task1_prior_omitted(encoder, studies) -> dict:
@@ -294,14 +311,7 @@ def task5_clinical_similarity(encoder, query_studies, pool_studies) -> dict:
         [s.study_id for s in pool_studies],
         encoder.embed([s.findings_text for s in pool_studies]),
     )
-    by_id = {s.study_id: s for s in pool_studies}
-    top1 = [ids[0] for ids in retrieve_topk(q, p, 1)]
-    q_labels = [sorted(s.latent.label_set()) for s in query_studies]
-    r_labels = [sorted(by_id[i].latent.label_set()) for i in top1]
-    return {
-        "macro_f1": macro_f1_kinds(q_labels, r_labels),
-        "entity_f1": entity_f1(q_labels, r_labels),
-    }
+    return _top1_label_agreement(q, query_studies, p, pool_studies)
 
 
 # ---------------------------------------------------------------------------
@@ -316,29 +326,18 @@ def multimodal_eval(encoder: DualEncoder, test_studies, pool_studies, section="f
     q = EmbeddingIndex(ids, encoder.embed_images([s.image for s in test_studies]), "image")
     p = EmbeddingIndex(
         ids,
-        encoder.embed_reports([_section_text(s, section) for s in test_studies], section=section),
+        encoder.embed_reports([section_text(s, section) for s in test_studies], section=section),
     )
-    k = min(max(RECALL_KS), len(p))
-    ranked = retrieve_topk(q, p, k)
-    out = recall_at_k(ranked, ids, ks=[k2 for k2 in RECALL_KS if k2 <= k])
+    out = _recalls(q, p)
     if pool_studies:
         big = EmbeddingIndex(
             [s.study_id for s in pool_studies],
             encoder.embed_reports(
-                [_section_text(s, section) for s in pool_studies], section=section
+                [section_text(s, section) for s in pool_studies], section=section
             ),
         )
-        by_id = {s.study_id: s for s in pool_studies}
-        top1 = [ids2[0] for ids2 in retrieve_topk(q, big, 1)]
-        q_labels = [sorted(s.latent.label_set()) for s in test_studies]
-        r_labels = [sorted(by_id[i].latent.label_set()) for i in top1]
-        out["macro_f1"] = macro_f1_kinds(q_labels, r_labels)
-        out["entity_f1"] = entity_f1(q_labels, r_labels)
+        out.update(_top1_label_agreement(q, test_studies, big, pool_studies))
     return out
-
-
-def _section_text(study, section: str) -> str:
-    return study.findings_text if section == "findings" else study.impression_text
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -60,20 +61,14 @@ def _decode_image(blob: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").reshape(blob["shape"]).astype(np.float32)
 
 
+_FINDING_KEYS = sorted(f.name for f in fields(LatentFinding))
+
+
 def study_to_dict(s: RenderedStudy) -> dict:
     return {
         "study_id": s.latent.study_id,
         "seed": s.latent.seed,
-        "findings": [
-            {
-                "kind": f.kind,
-                "location": f.location,
-                "severity": f.severity,
-                "negated": f.negated,
-                "temporal": f.temporal,
-            }
-            for f in s.latent.findings
-        ],
+        "findings": [asdict(f) for f in s.latent.findings],
         "image": _encode_image(s.image),
         "findings_text": s.findings_text,
         "impression_text": s.impression_text,
@@ -83,15 +78,13 @@ def study_to_dict(s: RenderedStudy) -> dict:
 
 
 def study_from_dict(d: dict) -> RenderedStudy:
+    for f in d["findings"]:
+        if sorted(f) != _FINDING_KEYS:  # a default must not stand in for a lost field
+            raise ValueError(f"finding keys {sorted(f)} != {_FINDING_KEYS}")
     latent = LatentStudy(
         study_id=d["study_id"],
         seed=d["seed"],
-        findings=tuple(
-            LatentFinding(
-                f["kind"], f["location"], f["severity"], f["negated"], f["temporal"]
-            )
-            for f in d["findings"]
-        ),
+        findings=tuple(LatentFinding(**f) for f in d["findings"]),
     )
     return RenderedStudy(
         latent=latent,

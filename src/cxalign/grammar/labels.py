@@ -12,7 +12,15 @@ import re
 from dataclasses import dataclass, field
 
 from .lexicon import expand_acronyms
-from .render import NORMAL_FINDINGS, NORMAL_IMPRESSION, drop_articles
+from .render import (
+    GRANULOMA_SEV,
+    NORMAL_FINDINGS,
+    NORMAL_IMPRESSION,
+    SEV_ADVERBS,
+    SEV_WORDS,
+    drop_articles,
+)
+from .types import SEVERITIES
 
 # ordered so that more specific keywords win ("nodular opacity" is a nodule)
 _KIND_KEYWORDS = (
@@ -29,17 +37,13 @@ _KIND_KEYWORDS = (
     ("support device", "support_device"),
 )
 
-_SEVERITY_WORDS = (
-    ("mildly", "mild"),
-    ("mild", "mild"),
-    ("minimal", "mild"),
-    ("tiny", "mild"),
-    ("moderately", "moderate"),
-    ("moderate", "moderate"),
-    ("small", "moderate"),
-    ("severely", "severe"),
-    ("severe", "severe"),
-    ("large", "severe"),
+# the renderer's severity words, mildest first: (word, severity) pairs
+_SEVERITY_WORDS = tuple(
+    dict.fromkeys(
+        (word, sev)
+        for sev in SEVERITIES
+        for word in (SEV_ADVERBS[sev], *SEV_WORDS[sev], GRANULOMA_SEV[sev])
+    )
 )
 
 _TEMPORAL_RE = re.compile(r"\b(new|stable|improved|worsened)\b")

@@ -9,6 +9,7 @@ error injection), so every label is recoverable exactly by the parser in
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -81,6 +82,11 @@ def _loc_phrase(location: str) -> str:
     return f"{location} lung field"
 
 
+def _negated_where(f: LatentFinding) -> str:
+    """Where a negation applies: edema is diffuse and names no location."""
+    return "" if f.kind == "edema" else f" in the {_loc_phrase(f.location)}"
+
+
 def _positive_clause(f: LatentFinding) -> str:
     """Bank-0 clause for a positive, non-cardiomegaly finding."""
     t = _temp_clause(f)
@@ -102,15 +108,7 @@ def _sentence_canonical(f: LatentFinding) -> str:
             return "The heart size is within normal limits."
         return f"The heart is {SEV_ADVERBS[f.severity]} enlarged{_temp_clause(f)}."
     if f.negated:
-        if f.kind == "edema":
-            return "No pulmonary edema is seen."
-        loc = _loc_phrase(f.location)
-        noun = {
-            "nodule": "nodule",
-            "granuloma": "granuloma",
-            "support_device": "support device",
-        }.get(f.kind, NOUN_PHRASES.get(f.kind, ("",))[0])
-        return f"No {noun} is seen in the {loc}."
+        return f"No {STATUS_NAMES[f.kind]} is seen{_negated_where(f)}."
     return f"There is {_positive_clause(f)}."
 
 
@@ -120,14 +118,7 @@ def _sentence_paraphrase(f: LatentFinding) -> str:
             return "The cardiac silhouette is normal in size."
         return f"The cardiac silhouette is {SEV_ADVERBS[f.severity]} enlarged{_temp_clause(f)}."
     if f.negated:
-        if f.kind == "edema":
-            return "There is no pulmonary edema."
-        noun = {
-            "nodule": "nodule",
-            "granuloma": "granuloma",
-            "support_device": "support device",
-        }.get(f.kind, NOUN_PHRASES.get(f.kind, ("",))[0])
-        return f"There is no {noun} in the {_loc_phrase(f.location)}."
+        return f"There is no {STATUS_NAMES[f.kind]}{_negated_where(f)}."
     t = _temp_clause(f)
     if f.kind == "edema":
         return f"{SEV_WORDS[f.severity][1].capitalize()} pulmonary edema is noted{t}."
@@ -148,14 +139,7 @@ def _sentence_verbose(f: LatentFinding) -> str:
             return "The cardiac silhouette is within normal limits."
         return f"{lead} {f.severity} enlargement of the cardiac silhouette{_temp_clause(f)}."
     if f.negated:
-        if f.kind == "edema":
-            return f"{lead} no pulmonary edema."
-        noun = {
-            "nodule": "nodule",
-            "granuloma": "granuloma",
-            "support_device": "support device",
-        }.get(f.kind, NOUN_PHRASES.get(f.kind, ("",))[0])
-        return f"{lead} no {noun} in the {_loc_phrase(f.location)}."
+        return f"{lead} no {STATUS_NAMES[f.kind]}{_negated_where(f)}."
     return f"{lead} {_positive_clause(f)}."
 
 
@@ -165,14 +149,7 @@ def _impression_sentence(f: LatentFinding, location: str | None = None) -> str:
     if f.negated:
         if f.kind == "cardiomegaly":
             return "Heart size within normal limits."
-        if f.kind == "edema":
-            return "No pulmonary edema."
-        noun = {
-            "nodule": "nodule",
-            "granuloma": "granuloma",
-            "support_device": "support device",
-        }.get(f.kind, NOUN_PHRASES.get(f.kind, ("",))[0])
-        return f"No {noun} in the {_loc_phrase(f.location)}."
+        return f"No {STATUS_NAMES[f.kind]}{_negated_where(f)}."
     if f.kind == "cardiomegaly":
         return f"{SEV_ADVERBS[f.severity].capitalize()} enlarged heart{t}."
     if f.kind == "edema":
@@ -208,36 +185,25 @@ def _findings_sentences_canonical(findings) -> list[str]:
     return out
 
 
-def _merge_bilateral(positives):
-    """Group mirrored findings for impression rendering.
-
-    Returns a list of (finding, location_override) where the override is a
-    bilateral phrase when the mirrored twin was merged away.
-    """
-    out = []
+def _merge_bilateral(positives) -> dict:
+    """Location override by `id` of each positive finding that renders: a
+    bilateral phrase when its mirrored twin was merged into it, else None.
+    Twins merged away are absent."""
+    out = {}
     consumed = set()
     for i, f in enumerate(positives):
         if i in consumed:
             continue
+        override = None
         if f.location in ZONE_LOCATIONS:
-            side, row = f.location.split()
-            other = ("left" if side == "right" else "right") + f" {row}"
+            twin = (f.kind, _swap_side(f.location), f.severity, f.temporal)
             for j in range(i + 1, len(positives)):
                 g = positives[j]
-                if (
-                    j not in consumed
-                    and g.kind == f.kind
-                    and g.location == other
-                    and g.severity == f.severity
-                    and g.temporal == f.temporal
-                ):
+                if j not in consumed and (g.kind, g.location, g.severity, g.temporal) == twin:
                     consumed.add(j)
-                    out.append((f, f"bilateral {row} lung fields"))
+                    override = f"bilateral {f.location.split()[1]} lung fields"
                     break
-            else:
-                out.append((f, None))
-        else:
-            out.append((f, None))
+        out[id(f)] = override
     return out
 
 
@@ -249,13 +215,11 @@ def render_impression(findings, keep_negated: bool = False) -> str:
         return NORMAL_IMPRESSION
     sentences = []
     positives = [f for f in kept if not f.negated]
-    merged = _merge_bilateral(positives)
-    by_id = {id(f): loc for f, loc in merged}
-    merged_ids = {id(f) for f, _ in merged}
+    by_id = _merge_bilateral(positives)
     for f in kept:
         if f.negated:
             sentences.append(_impression_sentence(f))
-        elif id(f) in merged_ids:
+        elif id(f) in by_id:
             sentences.append(_impression_sentence(f, by_id[id(f)]))
         # mirrored twins merged away render nothing
     return " ".join(sentences)
@@ -288,12 +252,6 @@ def render_report(study: LatentStudy, style: str = "canonical") -> tuple[str, st
     return findings, impression
 
 
-def _clear_temporal(f: LatentFinding) -> LatentFinding:
-    if f.temporal == "none":
-        return f
-    return LatentFinding(f.kind, f.location, f.severity, f.negated, "none")
-
-
 REGION_ORDER = ("Right lung", "Left lung", "Heart", "Other")
 
 
@@ -322,7 +280,7 @@ def make_variants(study: LatentStudy, findings_text: str | None = None) -> dict:
         }
     atomic = [_sentence_canonical(f) for f in study.findings]
     omitted = " ".join(
-        _findings_sentences_canonical([_clear_temporal(f) for f in study.findings])
+        _findings_sentences_canonical([replace(f, temporal="none") for f in study.findings])
     )
     groups: dict[str, list[str]] = {r: [] for r in REGION_ORDER}
     for f, s in zip(study.findings, atomic):
@@ -390,22 +348,19 @@ def inject_errors(study: LatentStudy, rng: np.random.Generator):
     nodules = [f for f in positives if f.kind == "nodule"]
     devices = [f for f in positives if f.kind == "support_device"]
 
-    eligible = []
-    if sev_editable:
-        eligible.append("Change Severity")
-    if loc_editable:
-        eligible.append("Change Location")
-    eligible.append("False Prediction")
-    if positives:
-        eligible.append("False Negation")
-    if nodules:
-        eligible.append("Change Measurement")
-    eligible.append("Add Opposite Sentence")
-    device_eligible = []
-    if not devices:
-        device_eligible.append("Add Medical Device")
-    if devices:
-        device_eligible.append("Change Position of Device")
+    eligible = [
+        category
+        for category, possible in (
+            ("Change Severity", sev_editable),
+            ("Change Location", loc_editable),
+            ("False Prediction", True),
+            ("False Negation", positives),
+            ("Change Measurement", nodules),
+            ("Add Opposite Sentence", True),
+        )
+        if possible
+    ]
+    device_eligible = ["Change Position of Device" if devices else "Add Medical Device"]
 
     # non-device categories first, per the generation protocol; "False
     # Prediction" and "Add Opposite Sentence" are always eligible, so with
@@ -415,65 +370,36 @@ def inject_errors(study: LatentStudy, rng: np.random.Generator):
 
     used_insertions: set = set()
 
+    def negate(f: LatentFinding) -> LatentFinding:
+        return replace(f, negated=True, temporal="none")  # a negation carries no temporal flag
+
     def edit(category: str) -> list[LatentFinding]:
-        fs = list(positives)
-        if category == "Change Severity":
-            f = pick(sev_editable)
-            new_sev = pick([s for s in SEVERITIES if s != f.severity])
-            return [
-                LatentFinding(g.kind, g.location, new_sev, False, g.temporal) if g is f else g
-                for g in fs
-            ]
-        if category == "Change Location":
-            f = pick(loc_editable)
-            return [
-                LatentFinding(g.kind, _swap_side(g.location), g.severity, False, g.temporal)
-                if g is f
-                else g
-                for g in fs
-            ]
-        if category == "False Prediction":
-            combos = [c for c in _free_kind_locations(study) if c not in used_insertions]
-            kind, loc = combos[int(rng.integers(len(combos)))]
-            used_insertions.add((kind, loc))
-            sev = pick(list(SEVERITIES))
-            return fs + [LatentFinding(kind, loc, sev, False, "none")]
-        if category == "False Negation":
+        """One finding changed in one field, or one finding added."""
+        if category in ("Change Severity", "Change Measurement"):
+            f = pick(sev_editable if category == "Change Severity" else nodules)
+            new = replace(f, severity=pick([s for s in SEVERITIES if s != f.severity]))
+        elif category in ("Change Location", "Change Position of Device"):
+            f = pick(loc_editable if category == "Change Location" else devices)
+            new = replace(f, location=_swap_side(f.location))
+        elif category == "False Negation":
             f = pick(positives)
-            return [
-                LatentFinding(g.kind, g.location, "mild", True, "none") if g is f else g
-                for g in fs
-            ]
-        if category == "Change Measurement":
-            f = pick(nodules)
-            new_sev = pick([s for s in SEVERITIES if s != f.severity])
-            return [
-                LatentFinding(g.kind, g.location, new_sev, False, g.temporal) if g is f else g
-                for g in fs
-            ]
-        if category == "Add Opposite Sentence":
+            new = negate(f)
+        elif category == "False Prediction":
+            kind, loc = pick([c for c in _free_kind_locations(study) if c not in used_insertions])
+            used_insertions.add((kind, loc))
+            return positives + [LatentFinding(kind, loc, pick(SEVERITIES))]
+        elif category == "Add Opposite Sentence":
             if positives:
-                f = pick(positives)
-                return fs + [LatentFinding(f.kind, f.location, "mild", True, "none")]
-            combos = _free_kind_locations(study)
-            kind, loc = combos[int(rng.integers(len(combos)))]
-            return fs + [LatentFinding(kind, loc, pick(list(SEVERITIES)), False, "none")]
-        if category == "Add Medical Device":
-            locs = [
-                loc
-                for loc in ZONE_LOCATIONS
-                if ("support_device", loc) not in {(f.kind, f.location) for f in study.findings}
-            ]
-            return fs + [LatentFinding("support_device", pick(locs), "mild", False, "none")]
-        if category == "Change Position of Device":
-            f = pick(devices)
-            return [
-                LatentFinding(g.kind, _swap_side(g.location), g.severity, False, g.temporal)
-                if g is f
-                else g
-                for g in fs
-            ]
-        raise ValueError(f"unknown error category {category!r}")
+                return positives + [negate(pick(positives))]
+            kind, loc = pick(_free_kind_locations(study))
+            return positives + [LatentFinding(kind, loc, pick(SEVERITIES))]
+        elif category == "Add Medical Device":
+            taken = {f.location for f in study.findings if f.kind == "support_device"}
+            locs = [loc for loc in ZONE_LOCATIONS if loc not in taken]
+            return positives + [LatentFinding("support_device", pick(locs))]
+        else:
+            raise ValueError(f"unknown error category {category!r}")
+        return [new if g is f else g for g in positives]
 
     out = []
     for category in chosen:

@@ -9,6 +9,10 @@ import numpy as np
 from .autodiff import Tensor
 
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
+
 class DivergenceError(RuntimeError):
     """Raised when a gradient or loss is no longer finite."""
 
@@ -23,8 +27,6 @@ class AdamW:
 
     group_lrs: dict[str, float]
     lr_scale: float = 1.0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.01
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -41,7 +43,7 @@ class AdamW:
 
     def step(self, params: dict[str, Tensor]) -> None:
         """One update over every requires_grad parameter with a gradient."""
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         self.t += 1
         ct = self.t
         for name, p in params.items():
@@ -67,7 +69,7 @@ class AdamW:
             vhat = v / (1 - b2**ct)
             if self.weight_decay:
                 p.data -= np.float32(lr * self.weight_decay) * p.data
-            p.data -= np.float32(lr) * (mhat / (np.sqrt(vhat) + self.eps)).astype(np.float32)
+            p.data -= np.float32(lr) * (mhat / (np.sqrt(vhat) + EPS)).astype(np.float32)
 
     def zero_grad(self, params: dict[str, Tensor]) -> None:
         for p in params.values():

@@ -35,6 +35,7 @@ from .tokenizer import (
     tokenize,
 )
 from .towers import (
+    VISION_DIM,
     LoraConfig,
     TextTowerConfig,
     VisionTowerConfig,
@@ -667,9 +668,14 @@ def train_contrastive(
 # ---------------------------------------------------------------------------
 
 
+def section_text(study, section: str) -> str:
+    """The text of a study's report section, "findings" or "impression"."""
+    return study.findings_text if section == "findings" else study.impression_text
+
+
 def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
     """Token sequence for a report on the alignment side."""
-    text = study.findings_text if section == "findings" else study.impression_text
+    text = section_text(study, section)
     if run.section_aware:
         return encode(
             text,
@@ -743,7 +749,7 @@ def train_clip(
     params.update(init_vision_tower(cfg_vision, stream_rng(run.seed, _STREAM_INIT_VISION)))
     rng_proj = stream_rng(run.seed, _STREAM_INIT_PROJ, 1)
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng_proj))
-    params.update(init_projection("proj_img", cfg_vision.model_dim, run.shared_dim, rng_proj))
+    params.update(init_projection("proj_img", VISION_DIM, run.shared_dim, rng_proj))
     params["clip.log_tau"] = init_log_tau()
 
     section_of = section_of or (lambda sid: "findings")

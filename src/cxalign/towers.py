@@ -36,6 +36,7 @@ from .autodiff import (
     take_rows,
     transpose,
 )
+from .grammar.image import CANVAS
 from .tokenizer import PAD, SECTION_FINDINGS, SECTION_IMPRESSION, BOS, EOS
 
 NEG_INF = -1e9
@@ -50,7 +51,7 @@ class TextTowerConfig:
     ffn_dim: int = 256
     max_len: int = 128
     mask_mode: str = "bidirectional"
-    dropout: float = 0.1
+    dropout: float = 0.0
     latent_rows: int = 8
 
     def __post_init__(self):
@@ -60,25 +61,19 @@ class TextTowerConfig:
             raise ValueError(f"unknown mask mode {self.mask_mode!r}")
 
 
+# the vision tower reads the grammar's whole canvas, in 8x8 patches
+IMAGE_SIZE = CANVAS
+PATCH_SIZE = 8
+N_PATCHES = (IMAGE_SIZE // PATCH_SIZE) ** 2
+VISION_LAYERS = 2
+VISION_DIM = 64
+VISION_HEADS = 4
+VISION_FFN_DIM = 256
+
+
 @dataclass
 class VisionTowerConfig:
-    image_size: int = 64
-    patch_size: int = 8
-    layers: int = 2
-    model_dim: int = 64
-    heads: int = 4
-    ffn_dim: int = 256
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.image_size % self.patch_size:
-            raise ValueError("image size must be divisible by patch size")
-        if self.model_dim % self.heads:
-            raise ValueError("model_dim must be divisible by heads")
-
-    @property
-    def n_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
+    dropout: float = 0.0
 
 
 @dataclass
@@ -141,18 +136,17 @@ def init_text_tower(cfg: TextTowerConfig, rng: np.random.Generator) -> dict:
 
 
 def init_vision_tower(cfg: VisionTowerConfig, rng: np.random.Generator) -> dict:
-    d = cfg.model_dim
-    pp = cfg.patch_size * cfg.patch_size
+    d = VISION_DIM
     params = {
-        "vision.patch_w": _param(rng, (pp, d)),
+        "vision.patch_w": _param(rng, (PATCH_SIZE * PATCH_SIZE, d)),
         "vision.patch_b": _zeros((d,)),
         "vision.cls": _param(rng, (1, 1, d)),
-        "vision.pos_emb": _param(rng, (cfg.n_patches + 1, d), std=0.01),
+        "vision.pos_emb": _param(rng, (N_PATCHES + 1, d), std=0.01),
         "vision.lnfg": _ones((d,)),
         "vision.lnfb": _zeros((d,)),
     }
-    for i in range(cfg.layers):
-        _init_block(params, f"vision.l{i}", d, cfg.ffn_dim, rng)
+    for i in range(VISION_LAYERS):
+        _init_block(params, f"vision.l{i}", d, VISION_FFN_DIM, rng)
     return params
 
 
@@ -331,22 +325,20 @@ def vision_forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     images = np.asarray(images, dtype=np.float32)
-    if images.shape[1:] != (cfg.image_size, cfg.image_size):
-        raise ShapeError(
-            f"image shape {images.shape[1:]} != ({cfg.image_size}, {cfg.image_size})"
-        )
+    if images.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE):
+        raise ShapeError(f"image shape {images.shape[1:]} != ({IMAGE_SIZE}, {IMAGE_SIZE})")
     B = images.shape[0]
-    patches = patchify(images, cfg.patch_size)
+    patches = patchify(images, PATCH_SIZE)
     x = linear(patches, params["vision.patch_w"], params["vision.patch_b"])
-    cls = add(Tensor(np.zeros((B, 1, cfg.model_dim), dtype=np.float32)), params["vision.cls"])
+    cls = add(Tensor(np.zeros((B, 1, VISION_DIM), dtype=np.float32)), params["vision.cls"])
     x = concat([cls, x], axis=1)
-    T = cfg.n_patches + 1
+    T = N_PATCHES + 1
     x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
     x = dropout(x, cfg.dropout, rng, train)
-    h = _blocks(params, "vision", x, None, cfg.layers, cfg.heads, train, rng, cfg.dropout)
+    h = _blocks(params, "vision", x, None, VISION_LAYERS, VISION_HEADS, train, rng, cfg.dropout)
     # readout: the mean over all T tokens, the cls token included
     weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
-    return reshape(matmul(Tensor(weights), h), (B, cfg.model_dim))
+    return reshape(matmul(Tensor(weights), h), (B, VISION_DIM))
 
 
 def project(emb: Tensor, head_w: Tensor, mu: Tensor | None = None) -> Tensor:

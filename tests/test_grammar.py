@@ -1,5 +1,7 @@
 """Grammar, renderer, image glyphs, error injection, and the label oracle."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from cxalign.grammar.labels import extract_labels
 from cxalign.grammar.lexicon import contract_acronyms, expand_acronyms
 from cxalign.grammar.render import (
     ERROR_CATEGORIES,
+    inject_errors,
     make_variants,
+    render_impression,
     render_report,
 )
 from cxalign.grammar.sampler import sample_latent_study
@@ -25,6 +29,7 @@ from cxalign.grammar.types import (
     GenProfile,
     LatentFinding,
     LatentStudy,
+    fixed_location,
 )
 
 
@@ -120,6 +125,164 @@ def test_prior_omitted_clears_temporal(corpus):
         assert all(t[4] == "none" for t in labels)
 
 
+# Every sentence form of a severe finding ("new" when positive) in the right
+# lower zone, or at the kind's fixed location: (canonical, paraphrase, verbose,
+# impression) per (kind, negated).
+SENTENCE_FORMS = {
+    ('opacity', False): (
+        'There is a severe opacity in the right lower lung field, new compared to the prior study.',
+        'Large airspace opacity is noted in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a severe opacity in the right lower lung field, new compared to the prior study.',
+        'Severe opacity in the right lower lung field, new compared to the prior study.',
+    ),
+    ('opacity', True): (
+        'No opacity is seen in the right lower lung field.',
+        'There is no opacity in the right lower lung field.',
+        'The frontal radiograph demonstrates no opacity in the right lower lung field.',
+        'No opacity in the right lower lung field.',
+    ),
+    ('consolidation', False): (
+        'There is a severe consolidation in the right lower lung field, new compared to the prior study.',
+        'Large focal consolidation is noted in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a severe consolidation in the right lower lung field, new compared to the prior study.',
+        'Severe consolidation in the right lower lung field, new compared to the prior study.',
+    ),
+    ('consolidation', True): (
+        'No consolidation is seen in the right lower lung field.',
+        'There is no consolidation in the right lower lung field.',
+        'The frontal radiograph demonstrates no consolidation in the right lower lung field.',
+        'No consolidation in the right lower lung field.',
+    ),
+    ('pleural_effusion', False): (
+        'There is a severe pleural effusion in the right lower lung field, new compared to the prior study.',
+        'Large pleural fluid collection is noted in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a severe pleural effusion in the right lower lung field, new compared to the prior study.',
+        'Severe pleural effusion in the right lower lung field, new compared to the prior study.',
+    ),
+    ('pleural_effusion', True): (
+        'No pleural effusion is seen in the right lower lung field.',
+        'There is no pleural effusion in the right lower lung field.',
+        'The frontal radiograph demonstrates no pleural effusion in the right lower lung field.',
+        'No pleural effusion in the right lower lung field.',
+    ),
+    ('pneumothorax', False): (
+        'There is a severe pneumothorax in the right lower lung field, new compared to the prior study.',
+        'Large pneumothorax is noted in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a severe pneumothorax in the right lower lung field, new compared to the prior study.',
+        'Severe pneumothorax in the right lower lung field, new compared to the prior study.',
+    ),
+    ('pneumothorax', True): (
+        'No pneumothorax is seen in the right lower lung field.',
+        'There is no pneumothorax in the right lower lung field.',
+        'The frontal radiograph demonstrates no pneumothorax in the right lower lung field.',
+        'No pneumothorax in the right lower lung field.',
+    ),
+    ('cardiomegaly', False): (
+        'The heart is severely enlarged, new compared to the prior study.',
+        'The cardiac silhouette is severely enlarged, new compared to the prior study.',
+        'The frontal radiograph demonstrates severe enlargement of the cardiac silhouette, new compared to the prior study.',
+        'Severely enlarged heart, new compared to the prior study.',
+    ),
+    ('cardiomegaly', True): (
+        'The heart size is within normal limits.',
+        'The cardiac silhouette is normal in size.',
+        'The cardiac silhouette is within normal limits.',
+        'Heart size within normal limits.',
+    ),
+    ('edema', False): (
+        'There is severe pulmonary edema, new compared to the prior study.',
+        'Large pulmonary edema is noted, new compared to the prior study.',
+        'The frontal radiograph demonstrates severe pulmonary edema, new compared to the prior study.',
+        'Severe pulmonary edema, new compared to the prior study.',
+    ),
+    ('edema', True): (
+        'No pulmonary edema is seen.',
+        'There is no pulmonary edema.',
+        'The frontal radiograph demonstrates no pulmonary edema.',
+        'No pulmonary edema.',
+    ),
+    ('nodule', False): (
+        'There is a 15 mm nodule in the right lower lung field, new compared to the prior study.',
+        'A 15 mm nodular opacity is seen in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a 15 mm nodule in the right lower lung field, new compared to the prior study.',
+        '15 mm nodule in the right lower lung field, new compared to the prior study.',
+    ),
+    ('nodule', True): (
+        'No nodule is seen in the right lower lung field.',
+        'There is no nodule in the right lower lung field.',
+        'The frontal radiograph demonstrates no nodule in the right lower lung field.',
+        'No nodule in the right lower lung field.',
+    ),
+    ('granuloma', False): (
+        'There is a large calcified granuloma in the right lower lung field, new compared to the prior study.',
+        'A large calcified granuloma is noted in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a large calcified granuloma in the right lower lung field, new compared to the prior study.',
+        'Large calcified granuloma in the right lower lung field, new compared to the prior study.',
+    ),
+    ('granuloma', True): (
+        'No granuloma is seen in the right lower lung field.',
+        'There is no granuloma in the right lower lung field.',
+        'The frontal radiograph demonstrates no granuloma in the right lower lung field.',
+        'No granuloma in the right lower lung field.',
+    ),
+    ('atelectasis', False): (
+        'There is a severe atelectasis in the right lower lung field, new compared to the prior study.',
+        'Large collapse of the lung is noted in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a severe atelectasis in the right lower lung field, new compared to the prior study.',
+        'Severe atelectasis in the right lower lung field, new compared to the prior study.',
+    ),
+    ('atelectasis', True): (
+        'No atelectasis is seen in the right lower lung field.',
+        'There is no atelectasis in the right lower lung field.',
+        'The frontal radiograph demonstrates no atelectasis in the right lower lung field.',
+        'No atelectasis in the right lower lung field.',
+    ),
+    ('support_device', False): (
+        'There is a support device projecting over the right lower lung field, new compared to the prior study.',
+        'A support device is seen in the right lower lung field, new compared to the prior study.',
+        'The frontal radiograph demonstrates a support device projecting over the right lower lung field, new compared to the prior study.',
+        'Support device over the right lower lung field, new compared to the prior study.',
+    ),
+    ('support_device', True): (
+        'No support device is seen in the right lower lung field.',
+        'There is no support device in the right lower lung field.',
+        'The frontal radiograph demonstrates no support device in the right lower lung field.',
+        'No support device in the right lower lung field.',
+    ),
+}
+BILATERAL_FORMS = {
+    'opacity': 'Severe opacity in the bilateral lower lung fields, new compared to the prior study.',
+    'consolidation': 'Severe consolidation in the bilateral lower lung fields, new compared to the prior study.',
+    'pleural_effusion': 'Severe pleural effusion in the bilateral lower lung fields, new compared to the prior study.',
+    'pneumothorax': 'Severe pneumothorax in the bilateral lower lung fields, new compared to the prior study.',
+    'nodule': '15 mm nodule in the bilateral lower lung fields, new compared to the prior study.',
+    'granuloma': 'Large calcified granuloma in the bilateral lower lung fields, new compared to the prior study.',
+    'atelectasis': 'Severe atelectasis in the bilateral lower lung fields, new compared to the prior study.',
+    'support_device': 'Support device over the bilateral lower lung fields, new compared to the prior study.',
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("negated", [False, True])
+def test_sentence_forms_are_pinned(kind, negated):
+    loc = fixed_location(kind) or "right lower"
+    f = LatentFinding(kind, loc, "severe", negated, "none" if negated else "new")
+    study = LatentStudy("s", 0, (f,))
+    forms = (
+        render_report(study, "canonical")[0],
+        make_variants(study)["paraphrase"],
+        render_report(study, "verbose")[0],
+        render_impression([f], keep_negated=True),
+    )
+    assert forms == SENTENCE_FORMS[(kind, negated)]
+
+
+@pytest.mark.parametrize("kind", sorted(BILATERAL_FORMS))
+def test_bilateral_merge_is_pinned(kind):
+    twins = [LatentFinding(kind, side, "severe", False, "new") for side in ("right lower", "left lower")]
+    assert render_impression(twins) == BILATERAL_FORMS[kind]
+
+
 # ---------------------------------------------------------------------------
 # error injection
 # ---------------------------------------------------------------------------
@@ -137,6 +300,68 @@ def test_errors_are_label_distinct(corpus):
 def test_error_categories_vary(corpus):
     seen = {c for s in corpus for c, _ in s.errors}
     assert len(seen) >= 5
+
+
+# field of the label tuple (kind, location, severity, negated, temporal) each
+# one-field edit changes; the others add one finding
+_EDITED_FIELD = {
+    "Change Severity": 2,
+    "Change Measurement": 2,
+    "Change Location": 1,
+    "Change Position of Device": 1,
+    "False Negation": 3,
+}
+
+
+def test_each_error_edit_changes_only_its_field():
+    """An edited impression differs from the true one in exactly the field
+    its category names, or by exactly one added finding."""
+    base = (
+        LatentFinding("opacity", "right upper", "severe", False, "new"),
+        LatentFinding("nodule", "left mid", "moderate"),
+        LatentFinding("cardiomegaly", "cardiac", "mild", False, "stable"),
+        LatentFinding("pneumothorax", "left upper", "mild", True),
+    )
+    studies = [
+        LatentStudy("a", 0, base),
+        LatentStudy("b", 0, base + (LatentFinding("support_device", "right lower"),)),
+        LatentStudy("c", 0, base[3:]),
+    ]
+    seen = set()
+    for study in studies:
+        truth = set(extract_labels(render_impression(study.findings)).labels)
+        taken = {(f.kind, f.location) for f in study.findings}
+        for seed in range(40):
+            for category, text in inject_errors(study, np.random.default_rng(seed)):
+                seen.add(category)
+                ext = extract_labels(text)
+                assert not ext.unparsed, text
+                edited = set(ext.labels)
+                removed, added = truth - edited, edited - truth
+                assert len(added) == 1, (category, text)
+                (new,) = added
+                if category not in _EDITED_FIELD:
+                    assert not removed, (category, text)
+                    if category == "Add Opposite Sentence" and truth:
+                        # the negation of a finding the impression reports
+                        assert new[3] and new[:2] in {t[:2] for t in truth}, text
+                    else:
+                        # a positive finding where the study reports none
+                        assert not new[3] and new[:2] not in taken, (category, text)
+                        assert category != "Add Medical Device" or new[0] == "support_device"
+                    continue
+                (old,) = removed
+                if category == "False Negation":
+                    # a negation drops severity and temporal status with it
+                    assert new == (old[0], old[1], None, True, "none"), text
+                else:
+                    changed = {i for i in range(5) if old[i] != new[i]}
+                    assert changed == {_EDITED_FIELD[category]}, (category, text)
+                if category in ("Change Measurement", "Change Position of Device"):
+                    assert old[0] == ("nodule" if category == "Change Measurement" else "support_device")
+    # "Change Position of Device" is not reached today: a device is a
+    # positive finding, and with one, three non-device categories come first
+    assert seen >= set(ERROR_CATEGORIES) - {"Change Position of Device"}
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +432,23 @@ def test_malformed_corpus_line_reports_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"not": "a study"}\n')
     with pytest.raises(CorpusFormatError, match="line 1"):
+        read_corpus(path)
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+def test_finding_with_unknown_or_missing_key_reports_line(tmp_path, edit):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generate_corpus(6, seed=5), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["findings"])
+    d = json.loads(lines[i])
+    if edit == "unknown":
+        d["findings"][0]["laterality"] = "right"
+    else:
+        del d["findings"][0]["severity"]
+    lines[i] = json.dumps(d, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"line {i + 1}:"):
         read_corpus(path)
 
 

@@ -29,6 +29,20 @@ def seq_ids(*tokens):
     return np.array([[BOS, *tokens, EOS]], dtype=np.int64)
 
 
+def test_default_tower_configs_train_without_dropout():
+    """A tower config built directly asks for no dropout, like `RunConfig`."""
+    cfg = tw.TextTowerConfig(vocab_size=50)
+    params = tw.init_text_tower(cfg, np.random.default_rng(0))
+    ids = seq_ids(10, 11, 12, 13)
+    trained = tw.text_forward(params, cfg, ids, train=True, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(trained.data, tw.text_forward(params, cfg, ids).data)
+    vcfg = tw.VisionTowerConfig()
+    vparams = tw.init_vision_tower(vcfg, np.random.default_rng(2))
+    img = np.random.default_rng(3).random((1, 64, 64)).astype(np.float32)
+    trained = tw.vision_forward(vparams, vcfg, img, train=True, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(trained.data, tw.vision_forward(vparams, vcfg, img).data)
+
+
 def test_causal_position_invariant_to_future(params):
     a = seq_ids(10, 11, 12, 13)
     b = a.copy()
