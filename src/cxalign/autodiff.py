@@ -6,7 +6,7 @@ order. Tensors have no operators: every op is a primitive called by name.
 The primitive set is fixed: matmul, add, mul, scale, a fused affine map
 (linear), softmax, layer norm, rotary positions, embedding lookup, GELU,
 exp, an upper clamp (`minimum_const`), row L2 normalization, cross entropy
-from logits, dropout, a sum of all elements, plus shape plumbing (reshape,
+from logits, a sum of all elements, plus shape plumbing (reshape,
 transpose, concat, row gather). Two fused
 primitives carry a transformer block in a few nodes: `attention` (head
 split, rotary, scaled and biased softmax, context product and head merge)
@@ -49,7 +49,6 @@ __all__ = [
     "l2_normalize",
     "embedding",
     "cross_entropy",
-    "dropout",
     "backward",
 ]
 
@@ -548,22 +547,6 @@ def cross_entropy(logits, targets) -> Tensor:
         return (gl * (np.asarray(g, dtype=np.float32) / n),)
 
     return _track(out, (logits,), bwd)
-
-
-def dropout(a, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    """Inverted dropout; identity when train is False or p == 0."""
-    a = _as_tensor(a)
-    if not train or p <= 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout: p={p} outside [0, 1)")
-    keep = (rng.random(a.shape) >= p).astype(np.float32) / np.float32(1.0 - p)
-    out = a.data * keep
-
-    def bwd(g):
-        return (g * keep,)
-
-    return _track(out, (a,), bwd)
 
 
 def backward(root: Tensor, leaves=None) -> dict:

@@ -108,7 +108,7 @@ class TextEncoder:
             return np.empty((0, dim), dtype=np.float32)
         if image:
             emb = concat([
-                vision_forward(self.params, self.cfg_vision, np.stack(inputs[i : i + GROUP_ROWS]))
+                vision_forward(self.params, images=np.stack(inputs[i : i + GROUP_ROWS]))
                 for i in range(0, len(inputs), GROUP_ROWS)
             ])
             source = np.arange(len(inputs))
@@ -147,7 +147,6 @@ class DualEncoder(TextEncoder):
     def __init__(self, result: StageResult):
         super().__init__(result)
         self.params = lora_merge(frozen(result.params), result.config.lora_config())
-        self.cfg_vision = result.config.vision_config()
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:
         aware = self.run.section_aware

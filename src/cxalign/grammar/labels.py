@@ -16,25 +16,27 @@ from .render import (
     GRANULOMA_SEV,
     NORMAL_FINDINGS,
     NORMAL_IMPRESSION,
+    NOUN_PHRASES,
     SEV_ADVERBS,
     SEV_WORDS,
+    STATUS_NAMES,
     drop_articles,
 )
 from .types import SEVERITIES
 
-# ordered so that more specific keywords win ("nodular opacity" is a nodule)
-_KIND_KEYWORDS = (
-    ("pleural effusion", "pleural_effusion"),
-    ("pleural fluid", "pleural_effusion"),
-    ("pneumothorax", "pneumothorax"),
-    ("consolidation", "consolidation"),
-    ("granuloma", "granuloma"),
-    ("nodul", "nodule"),
-    ("opacity", "opacity"),
-    ("atelectasis", "atelectasis"),
-    ("collapse", "atelectasis"),
-    ("pulmonary edema", "edema"),
-    ("support device", "support_device"),
+# the renderer's finding nouns, as written and without articles (the
+# abbreviated style drops them): (noun, kind) pairs, longest first, so a
+# noun that holds another kind's noun wins ("nodular opacity" is a nodule)
+_KIND_KEYWORDS = tuple(
+    sorted(
+        dict.fromkeys(
+            (form, kind)
+            for kind, name in STATUS_NAMES.items()
+            for noun in (name, *NOUN_PHRASES.get(kind, ()))
+            for form in (noun, drop_articles(noun))
+        ),
+        key=lambda pair: -len(pair[0]),
+    )
 )
 
 # the renderer's severity words, mildest first: (word, severity) pairs

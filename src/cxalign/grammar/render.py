@@ -31,6 +31,7 @@ NOUN_PHRASES = {
     "pleural_effusion": ("pleural effusion", "pleural fluid collection"),
     "pneumothorax": ("pneumothorax", "pneumothorax"),
     "atelectasis": ("atelectasis", "collapse of the lung"),
+    "nodule": ("nodule", "nodular opacity"),
 }
 
 SEV_WORDS = {"mild": ("mild", "minimal"), "moderate": ("moderate", "moderate"), "severe": ("severe", "large")}
@@ -94,7 +95,7 @@ def _positive_clause(f: LatentFinding) -> str:
         return f"{f.severity} pulmonary edema{t}"
     loc = _loc_phrase(f.location)
     if f.kind == "nodule":
-        return f"a {NODULE_MM[f.severity]} mm nodule in the {loc}{t}"
+        return f"a {NODULE_MM[f.severity]} mm {NOUN_PHRASES[f.kind][0]} in the {loc}{t}"
     if f.kind == "granuloma":
         return f"a {GRANULOMA_SEV[f.severity]} calcified granuloma in the {loc}{t}"
     if f.kind == "support_device":
@@ -124,7 +125,7 @@ def _sentence_paraphrase(f: LatentFinding) -> str:
         return f"{SEV_WORDS[f.severity][1].capitalize()} pulmonary edema is noted{t}."
     loc = _loc_phrase(f.location)
     if f.kind == "nodule":
-        return f"A {NODULE_MM[f.severity]} mm nodular opacity is seen in the {loc}{t}."
+        return f"A {NODULE_MM[f.severity]} mm {NOUN_PHRASES[f.kind][1]} is seen in the {loc}{t}."
     if f.kind == "granuloma":
         return f"A {GRANULOMA_SEV[f.severity]} calcified granuloma is noted in the {loc}{t}."
     if f.kind == "support_device":
@@ -157,7 +158,7 @@ def _impression_sentence(f: LatentFinding, location: str | None = None) -> str:
     # `location` is a full phrase override, e.g. "bilateral lower lung fields"
     loc = location if location else _loc_phrase(f.location)
     if f.kind == "nodule":
-        return f"{NODULE_MM[f.severity]} mm nodule in the {loc}{t}."
+        return f"{NODULE_MM[f.severity]} mm {NOUN_PHRASES[f.kind][0]} in the {loc}{t}."
     if f.kind == "granuloma":
         return f"{GRANULOMA_SEV[f.severity].capitalize()} calcified granuloma in the {loc}{t}."
     if f.kind == "support_device":

@@ -38,7 +38,6 @@ from .towers import (
     VISION_DIM,
     LoraConfig,
     TextTowerConfig,
-    VisionTowerConfig,
     eligible_mask,
     frozen,
     init_lora,
@@ -57,14 +56,14 @@ from .towers import (
 STAGES = ("mntp", "contrastive", "clip")
 
 # Fixed RNG stream tags so every stochastic choice is addressable by
-# (seed, stream, step) and resuming replays the identical sequence.
+# (seed, stream, step) and resuming replays the identical sequence. A tag
+# seeds its stream, so tags are never renumbered and 41 stays unused.
 _STREAM_INIT_TEXT = 20
 _STREAM_INIT_VISION = 21
 _STREAM_INIT_PROJ = 22
 _STREAM_INIT_LORA = 23
 _STREAM_ORDER = {"mntp": 30, "contrastive": 31, "clip": 32}
 _STREAM_MASK = 40
-_STREAM_DROPOUT = 41
 _STREAM_VAL_MASK = 42
 _STREAM_PAIRS = 43
 
@@ -84,7 +83,7 @@ class RunConfig:
     Stage 1 reads each masked token's prediction at position i-1
     (`mntp_shift`, as in LLM2Vec).
 
-    Every stage under-fits at this data size, so the defaults use no
+    Every stage under-fits at this data size, so the recipe has no
     dropout, and stage 3 uses batch 16: it gains more from optimizer steps
     than from in-batch negatives.
     """
@@ -111,7 +110,6 @@ class RunConfig:
     ffn_dim: int = 256
     max_len: int = 128
     shared_dim: int = 64
-    dropout: float = 0.0
     lora_rank: int = 16
     lora_alpha: float = 32.0
 
@@ -148,11 +146,7 @@ class RunConfig:
             ffn_dim=self.ffn_dim,
             max_len=self.max_len,
             mask_mode=self.mask_mode,
-            dropout=self.dropout,
         )
-
-    def vision_config(self) -> VisionTowerConfig:
-        return VisionTowerConfig(dropout=self.dropout)
 
     def lora_config(self) -> LoraConfig:
         return LoraConfig(rank=self.lora_rank, alpha=self.lora_alpha)
@@ -246,7 +240,7 @@ class TokenCount:
     pad_tokens: int = 0
 
 
-def length_groups(params, cfg_text, seqs, train=False, rng=None, count=None):
+def length_groups(params, cfg_text, seqs, count=None):
     """Run `seqs` through the text tower in length-sorted groups.
 
     Yields `(idx, ids, spans, hidden)` per group: the group's indices into
@@ -260,7 +254,7 @@ def length_groups(params, cfg_text, seqs, train=False, rng=None, count=None):
         if count is not None:
             count.tokens += ids.size
             count.pad_tokens += int((ids == PAD).sum())
-        yield idx, ids, spans, text_forward(params, cfg_text, ids, train=train, rng=rng)
+        yield idx, ids, spans, text_forward(params, cfg_text, ids)
 
 
 class TrainLog:
@@ -497,15 +491,15 @@ def _train_stage(
 
 def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True, count=None):
     """Mean cross entropy over every masked token of `seqs`. Each length
-    group's `mntp_loss` enters weighted by its share of the masked tokens."""
+    group's `mntp_loss` enters weighted by its share of the masked tokens.
+    `train` picks the mask stream: training steps draw their masks from
+    `_STREAM_MASK`, validation from `_STREAM_VAL_MASK`."""
     stream = _STREAM_MASK if train else _STREAM_VAL_MASK
     rng_mask = stream_rng(run.seed, stream, step)
     masked = [apply_mntp_mask(s, run.mask_prob, rng_mask) for s in seqs]
     total = sum(len(s.mask_targets) for s in masked)
-    rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
     loss = None
-    groups = length_groups(params, cfg_text, masked, train=train, rng=rng_drop, count=count)
-    for idx, _, _, hidden in groups:
+    for idx, _, _, hidden in length_groups(params, cfg_text, masked, count=count):
         logits = linear(hidden, params["mntp.w"], params["mntp.b"])
         group = [masked[j] for j in idx]
         positions = [(b, p) for b, s in enumerate(group) for p in s.mask_positions]
@@ -578,15 +572,11 @@ def train_mntp(
 # ---------------------------------------------------------------------------
 
 
-def encode_pooled(
-    params, cfg_text, run: RunConfig, seqs, train=False, rng=None, normalize=True, count=None
-):
+def encode_pooled(params, cfg_text, run: RunConfig, seqs, normalize=True, count=None):
     """Pooled (and L2-normalized) rows of token sequences, in input order,
     from length-grouped forwards (`length_groups`)."""
     parts, order = [], []
-    for idx, ids, spans, hidden in length_groups(
-        params, cfg_text, seqs, train=train, rng=rng, count=count
-    ):
+    for idx, ids, spans, hidden in length_groups(params, cfg_text, seqs, count=count):
         parts.append(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
         order.append(idx)
     pooled = concat(parts) if len(parts) > 1 else parts[0]
@@ -647,11 +637,10 @@ def train_contrastive(
         return [order[i : i + bs] for i in range(0, len(pairs) - 1, bs)]
 
     def step_loss(ids, step, count):
-        rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
         a = [anchor_seqs[j] for j in ids]
         pos = [positive_seqs[j] for j in ids]
-        ae = encode_pooled(params, cfg_text, run, a, train=True, rng=rng_drop, count=count)
-        pe = encode_pooled(params, cfg_text, run, pos, train=True, rng=rng_drop, count=count)
+        ae = encode_pooled(params, cfg_text, run, a, count=count)
+        pe = encode_pooled(params, cfg_text, run, pos, count=count)
         return supcon_loss(ae, pe, [pairs[j].label_key for j in ids], tau=run.supcon_tau)
 
     def validate():
@@ -687,7 +676,7 @@ def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
     return encode(text, vocab, max_len=run.max_len)
 
 
-def _center_projections(params, view, cfg_text, cfg_vision, run, items, limit=256):
+def _center_projections(params, view, cfg_text, run, items, limit=256):
     """Data-dependent init of the projection centering vectors of `params`,
     from the features of `view`, their merged frozen view.
 
@@ -702,23 +691,21 @@ def _center_projections(params, view, cfg_text, cfg_vision, run, items, limit=25
     t_rows = encode_pooled(view, cfg_text, run, seqs, normalize=False).data
     bs = run.batch_clip
     v_rows = [
-        vision_forward(view, cfg_vision, np.stack([img for _, img in probe[i : i + bs]])).data
+        vision_forward(view, images=np.stack([img for _, img in probe[i : i + bs]])).data
         for i in range(0, len(probe), bs)
     ]
     params["proj_text.mu"].data = t_rows.mean(axis=0)
     params["proj_img.mu"].data = np.concatenate(v_rows).mean(axis=0)
 
 
-def _clip_project(params, cfg_text, cfg_vision, run, items, train, rng, count=None):
+def _clip_project(params, cfg_text, run, items, count=None):
     """Projected (image, report) rows of a batch of (token sequence, image)
     items, in the shared space. `params` hold the merged text weights
     (`lora_merge`)."""
     seqs = [seq for seq, _ in items]
     images = np.stack([img for _, img in items])
-    t_emb = encode_pooled(
-        params, cfg_text, run, seqs, train=train, rng=rng, normalize=False, count=count
-    )
-    v_emb = vision_forward(params, cfg_vision, images, train=train, rng=rng)
+    t_emb = encode_pooled(params, cfg_text, run, seqs, normalize=False, count=count)
+    v_emb = vision_forward(params, images=images)
     t_proj = project(t_emb, params["proj_text.w"], params["proj_text.mu"])
     v_proj = project(v_emb, params["proj_img.w"], params["proj_img.mu"])
     return v_proj, t_proj
@@ -743,10 +730,9 @@ def train_clip(
     vocab = text_init.vocab
     params = _stage_copy(text_init.params)
     cfg_text = run.text_config(len(vocab))
-    cfg_vision = run.vision_config()
     lora = run.lora_config()
     params.update(init_lora(params, cfg_text, lora, stream_rng(run.seed, _STREAM_INIT_LORA)))
-    params.update(init_vision_tower(cfg_vision, stream_rng(run.seed, _STREAM_INIT_VISION)))
+    params.update(init_vision_tower(stream_rng(run.seed, _STREAM_INIT_VISION)))
     rng_proj = stream_rng(run.seed, _STREAM_INIT_PROJ, 1)
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng_proj))
     params.update(init_projection("proj_img", VISION_DIM, run.shared_dim, rng_proj))
@@ -762,7 +748,7 @@ def train_clip(
 
     train_items = items_for(train_studies)
     val_items = items_for(val_studies)
-    _center_projections(params, lora_merge(frozen(params), lora), cfg_text, cfg_vision, run, train_items)
+    _center_projections(params, lora_merge(frozen(params), lora), cfg_text, run, train_items)
     lengths = [len(seq.ids) for seq, _ in train_items]
 
     def batches(epoch):
@@ -770,15 +756,14 @@ def train_clip(
         return [b for b in bucketed_batches(lengths, run.batch_clip, rng_epoch) if len(b) >= 2]
 
     def step_loss(ids, step, count):
-        rng_drop = stream_rng(run.seed, _STREAM_DROPOUT, step)
         batch = [train_items[j] for j in ids]
         # merged once per step, so backward runs the fold once for all groups
         merged = lora_merge(params, lora)
-        v_proj, t_proj = _clip_project(merged, cfg_text, cfg_vision, run, batch, True, rng_drop, count)
+        v_proj, t_proj = _clip_project(merged, cfg_text, run, batch, count)
         return clip_loss(v_proj, t_proj, params["clip.log_tau"])
 
     def validate():
-        return _clip_val(lora_merge(frozen(params), lora), cfg_text, cfg_vision, run, val_items)
+        return _clip_val(lora_merge(frozen(params), lora), cfg_text, run, val_items)
 
     return _train_stage(
         "clip", run, vocab, params, len(train_items), batches, step_loss, validate,
@@ -786,7 +771,7 @@ def train_clip(
     )
 
 
-def _clip_val(params, cfg_text, cfg_vision, run, val_items) -> dict:
+def _clip_val(params, cfg_text, run, val_items) -> dict:
     """Validation loss plus recall@{1,5,10} of image→report retrieval, both
     from one projection of each batch of `params`, the merged frozen view
     that `evals.DualEncoder` also serves."""
@@ -795,7 +780,7 @@ def _clip_val(params, cfg_text, cfg_vision, run, val_items) -> dict:
     t_rows, v_rows = [], []
     for start in range(0, len(val_items), bs):
         batch = val_items[start : start + bs]
-        v_proj, t_proj = _clip_project(params, cfg_text, cfg_vision, run, batch, False, None)
+        v_proj, t_proj = _clip_project(params, cfg_text, run, batch)
         if len(batch) >= 2:
             loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
             total += float(loss.data) * len(batch)

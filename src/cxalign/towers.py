@@ -24,7 +24,6 @@ from .autodiff import (
     affine_layer_norm,
     attention,
     concat,
-    dropout,
     embedding,
     gelu,
     l2_normalize,
@@ -51,7 +50,6 @@ class TextTowerConfig:
     ffn_dim: int = 256
     max_len: int = 128
     mask_mode: str = "bidirectional"
-    dropout: float = 0.0
     latent_rows: int = 8
 
     def __post_init__(self):
@@ -72,19 +70,9 @@ VISION_FFN_DIM = 256
 
 
 @dataclass
-class VisionTowerConfig:
-    dropout: float = 0.0
-
-
-@dataclass
 class LoraConfig:
     rank: int = 16
     alpha: float = 32.0
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.dropout != 0.0:
-            raise ValueError(f"LoRA dropout {self.dropout}: adapter dropout has no merged form")
 
     @property
     def scaling(self) -> float:
@@ -135,7 +123,7 @@ def init_text_tower(cfg: TextTowerConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def init_vision_tower(cfg: VisionTowerConfig, rng: np.random.Generator) -> dict:
+def init_vision_tower(rng: np.random.Generator) -> dict:
     d = VISION_DIM
     params = {
         "vision.patch_w": _param(rng, (PATCH_SIZE * PATCH_SIZE, d)),
@@ -211,31 +199,29 @@ def rotary_tables(T: int, dh: int) -> tuple:
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
-def _attention(params, prefix, x, bias, heads, train, rng, p_drop, rope):
+def _attention(params, prefix, x, bias, heads, rope):
     q = _linear(params, f"{prefix}.wq", x)
     k = _linear(params, f"{prefix}.wk", x)
     v = _linear(params, f"{prefix}.wv", x)
     cos, sin = rotary_tables(x.shape[1], x.shape[2] // heads) if rope else (None, None)
     ctx = attention(q, k, v, heads, cos, sin, bias)
-    out = _linear(params, f"{prefix}.wo", ctx)
-    return dropout(out, p_drop, rng, train)
+    return _linear(params, f"{prefix}.wo", ctx)
 
 
-def _ffn(params, prefix, x, train, rng, p_drop):
+def _ffn(params, prefix, x):
     h = gelu(_linear(params, f"{prefix}.w1", x))
-    out = _linear(params, f"{prefix}.w2", h)
-    return dropout(out, p_drop, rng, train)
+    return _linear(params, f"{prefix}.w2", h)
 
 
 def _affine_ln(params, prefix, x):
     return affine_layer_norm(x, params[f"{prefix}g"], params[f"{prefix}b"])
 
 
-def _blocks(params, tower, x, bias, layers, heads, train, rng, p_drop, rope=False):
+def _blocks(params, tower, x, bias, layers, heads, rope=False):
     for i in range(layers):
         prefix = f"{tower}.l{i}"
-        x = add(x, _attention(params, prefix, _affine_ln(params, f"{prefix}.ln1", x), bias, heads, train, rng, p_drop, rope))
-        x = add(x, _ffn(params, prefix, _affine_ln(params, f"{prefix}.ln2", x), train, rng, p_drop))
+        x = add(x, _attention(params, prefix, _affine_ln(params, f"{prefix}.ln1", x), bias, heads, rope))
+        x = add(x, _ffn(params, prefix, _affine_ln(params, f"{prefix}.ln2", x)))
     return _affine_ln(params, f"{tower}.lnf", x)
 
 
@@ -259,10 +245,7 @@ def text_forward(
     params: dict,
     cfg: TextTowerConfig,
     ids: np.ndarray,
-    mode: str | None = None,
     lora: LoraConfig | None = None,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> Tensor:
     """(B, T, d) hidden states. Token embeddings carry no position; each
     attention layer rotates queries and keys by their position, so scores
@@ -275,10 +258,9 @@ def text_forward(
     B, T = ids.shape
     if T > cfg.max_len:
         raise ShapeError(f"sequence length {T} exceeds max_len {cfg.max_len}")
-    mode = mode or cfg.mask_mode
-    x = dropout(embedding(params["text.tok_emb"], ids), cfg.dropout, rng, train)
-    bias = attention_bias(ids, mode)
-    return _blocks(params, "text", x, bias, cfg.layers, cfg.heads, train, rng, cfg.dropout, rope=True)
+    x = embedding(params["text.tok_emb"], ids)
+    bias = attention_bias(ids, cfg.mask_mode)
+    return _blocks(params, "text", x, bias, cfg.layers, cfg.heads, rope=True)
 
 
 def eligible_mask(ids: np.ndarray, instruction_spans) -> np.ndarray:
@@ -317,13 +299,9 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(B, g * g, patch * patch).astype(np.float32)
 
 
-def vision_forward(
-    params: dict,
-    cfg: VisionTowerConfig,
-    images: np.ndarray,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def vision_forward(params: dict, images: np.ndarray) -> Tensor:
+    """(B, d) image embeddings. Call sites pass `images=` by keyword:
+    `perfbench/tracer.py` counts a call's images from that keyword."""
     images = np.asarray(images, dtype=np.float32)
     if images.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE):
         raise ShapeError(f"image shape {images.shape[1:]} != ({IMAGE_SIZE}, {IMAGE_SIZE})")
@@ -334,8 +312,7 @@ def vision_forward(
     x = concat([cls, x], axis=1)
     T = N_PATCHES + 1
     x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
-    x = dropout(x, cfg.dropout, rng, train)
-    h = _blocks(params, "vision", x, None, VISION_LAYERS, VISION_HEADS, train, rng, cfg.dropout)
+    h = _blocks(params, "vision", x, None, VISION_LAYERS, VISION_HEADS)
     # readout: the mean over all T tokens, the cls token included
     weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
     return reshape(matmul(Tensor(weights), h), (B, VISION_DIM))

@@ -153,7 +153,7 @@ def tiny_tower():
 
 def test_criterion_3_lora_zero_init_exact(tiny_tower):
     cfg, params, ids = tiny_tower
-    lora = LoraConfig(rank=4, alpha=16.0, dropout=0.0)
+    lora = LoraConfig(rank=4, alpha=16.0)
     with_adapters = dict(params)
     with_adapters.update(init_lora(params, cfg, lora, np.random.default_rng(5)))
     base = text_forward(params, cfg, ids)
@@ -163,7 +163,7 @@ def test_criterion_3_lora_zero_init_exact(tiny_tower):
 
 def test_criterion_3_lora_merge_tolerance(tiny_tower):
     cfg, params, ids = tiny_tower
-    lora = LoraConfig(rank=4, alpha=16.0, dropout=0.0)
+    lora = LoraConfig(rank=4, alpha=16.0)
     with_adapters = dict(params)
     with_adapters.update(init_lora(params, cfg, lora, np.random.default_rng(5)))
     # give the adapters non-trivial weights

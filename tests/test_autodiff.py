@@ -100,16 +100,6 @@ def test_embedding_accumulates_repeated_ids(rng):
     np.testing.assert_allclose(table.grad[0], 0.0)
 
 
-def test_dropout_train_vs_eval(rng):
-    x = Tensor(np.ones((100, 10), dtype=np.float32))
-    out_eval = ad.dropout(x, 0.3, None, train=False)
-    np.testing.assert_array_equal(out_eval.data, x.data)
-    out_train = ad.dropout(x, 0.3, np.random.default_rng(0), train=True)
-    kept = out_train.data != 0
-    assert 0.5 < kept.mean() < 0.9
-    np.testing.assert_allclose(out_train.data[kept], 1.0 / 0.7, rtol=1e-6)
-
-
 def test_clamp_ops():
     x = Tensor(np.array([-2.0, 0.5, 3.0], dtype=np.float32))
     np.testing.assert_array_equal(ad.minimum_const(x, 1.0).data, [-2.0, 0.5, 1.0])

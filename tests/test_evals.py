@@ -327,7 +327,7 @@ def dual_encoder():
     rng = np.random.default_rng(0)
     params = init_text_tower(cfg_text, rng)
     params.update(init_lora(params, cfg_text, run.lora_config(), rng))
-    params.update(init_vision_tower(run.vision_config(), rng))
+    params.update(init_vision_tower(rng))
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng))
     params.update(init_projection("proj_img", 64, run.shared_dim, rng))
     params["clip.log_tau"] = init_log_tau()
@@ -345,7 +345,7 @@ def _stage3_result(run, studies, seed=0):
     for name, p in params.items():
         if name.startswith("lora.") and name.endswith(".B"):
             p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
-    params.update(init_vision_tower(run.vision_config(), rng))
+    params.update(init_vision_tower(rng))
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng))
     params.update(init_projection("proj_img", 64, run.shared_dim, rng))
     params["clip.log_tau"] = init_log_tau()

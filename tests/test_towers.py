@@ -1,5 +1,7 @@
 """Dual towers: masking semantics, pooling, LoRA equivalences, projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from cxalign.tokenizer import BOS, EOS, PAD
 from cxalign import towers as tw
 
 
-CFG = tw.TextTowerConfig(vocab_size=50, dropout=0.0)
-VCFG = tw.VisionTowerConfig(dropout=0.0)
+CFG = tw.TextTowerConfig(vocab_size=50)
+CAUSAL = dataclasses.replace(CFG, mask_mode="causal")
 
 
 @pytest.fixture(scope="module")
@@ -22,33 +24,19 @@ def params():
 
 @pytest.fixture(scope="module")
 def vparams():
-    return tw.init_vision_tower(VCFG, np.random.default_rng(1))
+    return tw.init_vision_tower(np.random.default_rng(1))
 
 
 def seq_ids(*tokens):
     return np.array([[BOS, *tokens, EOS]], dtype=np.int64)
 
 
-def test_default_tower_configs_train_without_dropout():
-    """A tower config built directly asks for no dropout, like `RunConfig`."""
-    cfg = tw.TextTowerConfig(vocab_size=50)
-    params = tw.init_text_tower(cfg, np.random.default_rng(0))
-    ids = seq_ids(10, 11, 12, 13)
-    trained = tw.text_forward(params, cfg, ids, train=True, rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(trained.data, tw.text_forward(params, cfg, ids).data)
-    vcfg = tw.VisionTowerConfig()
-    vparams = tw.init_vision_tower(vcfg, np.random.default_rng(2))
-    img = np.random.default_rng(3).random((1, 64, 64)).astype(np.float32)
-    trained = tw.vision_forward(vparams, vcfg, img, train=True, rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(trained.data, tw.vision_forward(vparams, vcfg, img).data)
-
-
 def test_causal_position_invariant_to_future(params):
     a = seq_ids(10, 11, 12, 13)
     b = a.copy()
     b[0, 3] = 20  # change a later token
-    ha = tw.text_forward(params, CFG, a, mode="causal").data
-    hb = tw.text_forward(params, CFG, b, mode="causal").data
+    ha = tw.text_forward(params, CAUSAL, a).data
+    hb = tw.text_forward(params, CAUSAL, b).data
     np.testing.assert_allclose(ha[0, :3], hb[0, :3], atol=1e-6)
     assert not np.allclose(ha[0, 3], hb[0, 3])
 
@@ -57,8 +45,8 @@ def test_bidirectional_sees_future(params):
     a = seq_ids(10, 11, 12, 13)
     b = a.copy()
     b[0, 3] = 20
-    ha = tw.text_forward(params, CFG, a, mode="bidirectional").data
-    hb = tw.text_forward(params, CFG, b, mode="bidirectional").data
+    ha = tw.text_forward(params, CFG, a).data
+    hb = tw.text_forward(params, CFG, b).data
     assert not np.allclose(ha[0, 1], hb[0, 1])
 
 
@@ -73,8 +61,8 @@ def test_pad_positions_do_not_affect_content(params):
 def test_mask_mode_toggle_preserves_census(params):
     ids = seq_ids(7, 8, 9)
     before = {n: p.shape for n, p in params.items()}
-    tw.text_forward(params, CFG, ids, mode="causal")
-    tw.text_forward(params, CFG, ids, mode="bidirectional")
+    tw.text_forward(params, CAUSAL, ids)
+    tw.text_forward(params, CFG, ids)
     assert {n: p.shape for n, p in params.items()} == before
 
 
@@ -141,7 +129,7 @@ def test_latent_pool_shape_any_length(params):
 
 def test_latent_pool_single_row_latent():
     """r_lat=1: softmax over one key makes attention weights all one."""
-    cfg = tw.TextTowerConfig(vocab_size=50, latent_rows=1, dropout=0.0)
+    cfg = tw.TextTowerConfig(vocab_size=50, latent_rows=1)
     params = tw.init_text_tower(cfg, np.random.default_rng(5))
     hidden_a = Tensor(np.random.default_rng(6).normal(size=(1, 4, 64)).astype(np.float32))
     hidden_b = Tensor(np.random.default_rng(7).normal(size=(1, 4, 64)).astype(np.float32))
@@ -166,8 +154,8 @@ def test_pool_all_excluded_rejected(params):
 @given(st.integers(0, 10_000))
 def test_lora_zero_init_and_merge_equivalence(seed):
     rng = np.random.default_rng(seed)
-    cfg = tw.TextTowerConfig(vocab_size=30, layers=int(rng.integers(1, 3)), dropout=0.0)
-    lcfg = tw.LoraConfig(rank=int(rng.integers(1, 17)), dropout=0.0)
+    cfg = tw.TextTowerConfig(vocab_size=30, layers=int(rng.integers(1, 3)))
+    lcfg = tw.LoraConfig(rank=int(rng.integers(1, 17)))
     params = tw.init_text_tower(cfg, rng)
     adapters = tw.init_lora(params, cfg, lcfg, rng)
     params.update(adapters)
@@ -187,7 +175,7 @@ def test_lora_zero_init_and_merge_equivalence(seed):
 
 
 def test_lora_alpha_zero_inert(params):
-    lcfg = tw.LoraConfig(alpha=0.0, dropout=0.0)
+    lcfg = tw.LoraConfig(alpha=0.0)
     rng = np.random.default_rng(8)
     adapters = tw.init_lora(params, CFG, lcfg, rng)
     full = dict(params)
@@ -206,7 +194,7 @@ def test_lora_gradients_through_merge():
     adapter A and B (B nonzero), at criterion 1's tolerance; the frozen
     base gets no gradient."""
     rng = np.random.default_rng(0)
-    cfg = tw.TextTowerConfig(vocab_size=30, layers=1, model_dim=8, heads=2, ffn_dim=16, dropout=0.0)
+    cfg = tw.TextTowerConfig(vocab_size=30, layers=1, model_dim=8, heads=2, ffn_dim=16)
     lcfg = tw.LoraConfig(rank=2, alpha=4.0)
     params = tw.init_text_tower(cfg, rng)
     params.update(tw.init_lora(params, cfg, lcfg, rng))
@@ -239,12 +227,6 @@ def test_lora_gradients_through_merge():
     assert all(p.grad is None for n, p in params.items() if n.startswith("text."))
 
 
-def test_lora_dropout_rejected():
-    with pytest.raises(ValueError, match="dropout"):
-        tw.LoraConfig(dropout=0.1)
-    assert tw.LoraConfig(dropout=0.0).dropout == 0.0
-
-
 # ---------------------------------------------------------------------------
 # vision tower and projection
 # ---------------------------------------------------------------------------
@@ -259,8 +241,8 @@ def test_patchify_shape():
 
 def test_vision_forward_deterministic(vparams):
     img = np.random.default_rng(2).random((1, 64, 64)).astype(np.float32)
-    a = tw.vision_forward(vparams, VCFG, img).data
-    b = tw.vision_forward(vparams, VCFG, img).data
+    a = tw.vision_forward(vparams, images=img).data
+    b = tw.vision_forward(vparams, images=img).data
     np.testing.assert_array_equal(a, b)
     assert a.shape == (1, 64)
 
@@ -269,14 +251,14 @@ def test_vision_zone_perturbation_changes_embedding(vparams):
     img = np.zeros((1, 64, 64), dtype=np.float32)
     other = img.copy()
     other[0, 5:20, 5:20] = 1.0
-    a = tw.vision_forward(vparams, VCFG, img).data
-    b = tw.vision_forward(vparams, VCFG, other).data
+    a = tw.vision_forward(vparams, images=img).data
+    b = tw.vision_forward(vparams, images=other).data
     assert not np.allclose(a, b)
 
 
 def test_vision_size_mismatch_rejected(vparams):
     with pytest.raises(ShapeError):
-        tw.vision_forward(vparams, VCFG, np.zeros((1, 32, 32), dtype=np.float32))
+        tw.vision_forward(vparams, images=np.zeros((1, 32, 32), dtype=np.float32))
 
 
 def test_project_unit_norm_and_scale_invariant(rng):
@@ -308,7 +290,7 @@ def test_frozen_views_share_memory_and_record_no_tape(params, vparams):
     hidden = tw.text_forward(view, CFG, ids)
     pooled = tw.pool(view, hidden, tw.eligible_mask(ids, [(0, 0), (0, 0)]), "latent")
     images = np.random.default_rng(2).random((2, 64, 64)).astype(np.float32)
-    vision = tw.vision_forward(tw.frozen(vparams), VCFG, images)
+    vision = tw.vision_forward(tw.frozen(vparams), images=images)
     for out in (hidden, pooled, vision):
         assert out._parents == () and not out.requires_grad
     # the same forward over the trainable parameters does record a tape
