@@ -16,7 +16,7 @@ from .grammar.labels import extract_labels
 from .grammar.render import render_report
 from .grammar.types import KINDS
 from .objectives import INSTR_IMAGE, INSTR_SUMMARIZE
-from .pipeline import GROUP_ROWS, RunConfig, StageResult, encode_pooled, section_text
+from .pipeline import GROUP_ROWS, StageResult, encode_pooled, section_text
 from .tokenizer import encode
 from .towers import frozen, lora_merge, project, vision_forward
 
@@ -93,7 +93,6 @@ class TextEncoder:
         self.params = frozen(result.params)
         self.vocab = result.vocab
         self.run = result.config
-        self.cfg_text = result.config.text_config(len(result.vocab))
 
     def embed(self, texts, instruction=None, section=None) -> np.ndarray:
         return self._embed(texts, instruction=instruction, section=section)
@@ -128,7 +127,7 @@ class TextEncoder:
             unique = {}
             source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in seqs]
             emb = encode_pooled(
-                self.params, self.cfg_text, self.run, [s for _, s in unique.values()],
+                self.params, self.run, [s for _, s in unique.values()],
                 normalize=head is None,
             )
         if head is not None:
@@ -146,7 +145,7 @@ class DualEncoder(TextEncoder):
 
     def __init__(self, result: StageResult):
         super().__init__(result)
-        self.params = lora_merge(frozen(result.params), result.config.lora_config())
+        self.params = lora_merge(frozen(result.params), result.config)
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:
         aware = self.run.section_aware

@@ -102,9 +102,9 @@ def ablation_section_aware(n: int = 500, seed: int = 4096, epochs_clip: int = 6)
     return out
 
 
-def random_baseline_recall(studies, k: int = 1, salt: str = "base") -> float:
+def random_baseline_recall(studies, k: int = 1) -> float:
     """Recall@k of hash-seeded random embeddings over the given pool."""
     ids = [s.study_id for s in studies]
-    q = EmbeddingIndex(ids, hash_embeddings([s.study_id + "/q" for s in studies], salt=salt))
-    p = EmbeddingIndex(ids, hash_embeddings([s.study_id + "/p" for s in studies], salt=salt))
+    q = EmbeddingIndex(ids, hash_embeddings([s.study_id + "/q" for s in studies], salt="base"))
+    p = EmbeddingIndex(ids, hash_embeddings([s.study_id + "/p" for s in studies], salt="base"))
     return recall_at_k(retrieve_topk(q, p, k), ids, ks=(k,))[f"recall@{k}"]

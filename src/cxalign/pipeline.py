@@ -32,12 +32,9 @@ from .tokenizer import (
     apply_mntp_mask,
     build_vocab,
     encode,
-    tokenize,
 )
 from .towers import (
     VISION_DIM,
-    LoraConfig,
-    TextTowerConfig,
     eligible_mask,
     frozen,
     init_lora,
@@ -74,7 +71,10 @@ class RegimeViolationError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Hyperparameters for all three stages; one document per run.
+    """Hyperparameters for all three stages; one document per run, and the
+    one place the text tower's settings live: `towers` reads `heads`,
+    `mask_mode`, `max_len` and the LoRA settings from here, and every shape
+    a parameter array holds from the array.
 
     `lr_mntp` drives stage 1 only; `lr_text` drives stage 2 and the stage-3
     LoRA adapters. The stages need different rates: MNTP at 3e-4 leaves the
@@ -124,9 +124,19 @@ class RunConfig:
             "lr_mntp",
             "lr_text",
             "lr_projection",
+            "supcon_tau",
+            "layers",
+            "model_dim",
+            "heads",
+            "ffn_dim",
+            "max_len",
+            "shared_dim",
+            "lora_rank",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
+        if self.model_dim % self.heads:
+            raise ValueError("RunConfig.model_dim must be divisible by heads")
         for name in ("batch_contrastive", "batch_clip"):
             if getattr(self, name) < 2:
                 raise ValueError(f"RunConfig.{name} must be at least 2: a batch needs a negative")
@@ -136,20 +146,6 @@ class RunConfig:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
         if self.pooling not in ("mean", "latent"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
-
-    def text_config(self, vocab_size: int) -> TextTowerConfig:
-        return TextTowerConfig(
-            vocab_size=vocab_size,
-            layers=self.layers,
-            model_dim=self.model_dim,
-            heads=self.heads,
-            ffn_dim=self.ffn_dim,
-            max_len=self.max_len,
-            mask_mode=self.mask_mode,
-        )
-
-    def lora_config(self) -> LoraConfig:
-        return LoraConfig(rank=self.lora_rank, alpha=self.lora_alpha)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -240,7 +236,7 @@ class TokenCount:
     pad_tokens: int = 0
 
 
-def length_groups(params, cfg_text, seqs, count=None):
+def length_groups(params, run, seqs, count=None):
     """Run `seqs` through the text tower in length-sorted groups.
 
     Yields `(idx, ids, spans, hidden)` per group: the group's indices into
@@ -254,7 +250,7 @@ def length_groups(params, cfg_text, seqs, count=None):
         if count is not None:
             count.tokens += ids.size
             count.pad_tokens += int((ids == PAD).sum())
-        yield idx, ids, spans, text_forward(params, cfg_text, ids)
+        yield idx, ids, spans, text_forward(params, run, ids)
 
 
 class TrainLog:
@@ -341,16 +337,20 @@ def _require_val(stage: str, n_items: int, need: int) -> None:
         raise ValueError(f"{stage}: validation split of {n_items} items; scoring needs {need}")
 
 
-def bucketed_batches(lengths, bs: int, rng: np.random.Generator, window: int = 4) -> list:
+# Batches per shuffling window of `bucketed_batches`.
+BUCKET_WINDOW = 4
+
+
+def bucketed_batches(lengths, bs: int, rng: np.random.Generator) -> list:
     """Batches of near-equal sequence length to cut padding waste.
 
-    Items are length-sorted, shuffled within windows of `window` batches so
-    in-batch negatives still vary across epochs, and the batch order is
-    shuffled. Fully determined by `rng`.
+    Items are length-sorted, shuffled within windows of BUCKET_WINDOW
+    batches so in-batch negatives still vary across epochs, and the batch
+    order is shuffled. Fully determined by `rng`.
     """
     order = np.argsort(lengths, kind="stable")
     batches = []
-    w = window * bs
+    w = BUCKET_WINDOW * bs
     for start in range(0, len(order), w):
         block = order[start : start + w]
         block = block[rng.permutation(len(block))]
@@ -489,7 +489,7 @@ def _train_stage(
 # ---------------------------------------------------------------------------
 
 
-def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True, count=None):
+def _mntp_step_loss(params, run, seqs, step, train=True, count=None):
     """Mean cross entropy over every masked token of `seqs`. Each length
     group's `mntp_loss` enters weighted by its share of the masked tokens.
     `train` picks the mask stream: training steps draw their masks from
@@ -499,7 +499,7 @@ def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True, count=None):
     masked = [apply_mntp_mask(s, run.mask_prob, rng_mask) for s in seqs]
     total = sum(len(s.mask_targets) for s in masked)
     loss = None
-    for idx, _, _, hidden in length_groups(params, cfg_text, masked, count=count):
+    for idx, _, _, hidden in length_groups(params, run, masked, count=count):
         logits = linear(hidden, params["mntp.w"], params["mntp.b"])
         group = [masked[j] for j in idx]
         positions = [(b, p) for b, s in enumerate(group) for p in s.mask_positions]
@@ -510,14 +510,14 @@ def _mntp_step_loss(params, cfg_text, run, seqs, step, train=True, count=None):
     return loss
 
 
-def _mntp_val_loss(params, cfg_text, run, val_texts, vocab) -> float:
+def _mntp_val_loss(params, run, val_texts, vocab) -> float:
     params = frozen(params)
     total, count = 0.0, 0
     bs = run.batch_mntp
     for start in range(0, len(val_texts), bs):
         chunk = val_texts[start : start + bs]
         seqs = [encode(t, vocab, max_len=run.max_len) for t in chunk]
-        loss = _mntp_step_loss(params, cfg_text, run, seqs, step=start, train=False)
+        loss = _mntp_step_loss(params, run, seqs, step=start, train=False)
         total += float(loss.data) * len(chunk)
         count += len(chunk)
     return total / count
@@ -543,11 +543,10 @@ def train_mntp(
     ]
     _require_val("mntp", len(val_texts), 1)
     vocab = vocab or corpus_vocab(studies)
-    cfg_text = run.text_config(len(vocab))
     if resume is not None:
         params = resume.params
     else:
-        params = init_text_tower(cfg_text, stream_rng(run.seed, _STREAM_INIT_TEXT))
+        params = init_text_tower(run, len(vocab), stream_rng(run.seed, _STREAM_INIT_TEXT))
     seqs = [encode(t, vocab, max_len=run.max_len) for t in mntp_text_pool(train_studies)]
     lengths = [len(s.ids) for s in seqs]
 
@@ -556,10 +555,10 @@ def train_mntp(
         return bucketed_batches(lengths, run.batch_mntp, rng_epoch)
 
     def step_loss(batch, step, count):
-        return _mntp_step_loss(params, cfg_text, run, [seqs[j] for j in batch], step, count=count)
+        return _mntp_step_loss(params, run, [seqs[j] for j in batch], step, count=count)
 
     def validate():
-        return {"val_loss": _mntp_val_loss(params, cfg_text, run, val_texts, vocab)}
+        return {"val_loss": _mntp_val_loss(params, run, val_texts, vocab)}
 
     return _train_stage(
         "mntp", run, vocab, params, len(seqs), batches, step_loss, validate,
@@ -572,11 +571,11 @@ def train_mntp(
 # ---------------------------------------------------------------------------
 
 
-def encode_pooled(params, cfg_text, run: RunConfig, seqs, normalize=True, count=None):
+def encode_pooled(params, run: RunConfig, seqs, normalize=True, count=None):
     """Pooled (and L2-normalized) rows of token sequences, in input order,
     from length-grouped forwards (`length_groups`)."""
     parts, order = [], []
-    for idx, ids, spans, hidden in length_groups(params, cfg_text, seqs, count=count):
+    for idx, ids, spans, hidden in length_groups(params, run, seqs, count=count):
         parts.append(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
         order.append(idx)
     pooled = concat(parts) if len(parts) > 1 else parts[0]
@@ -586,7 +585,7 @@ def encode_pooled(params, cfg_text, run: RunConfig, seqs, normalize=True, count=
     return l2_normalize(pooled) if normalize else pooled
 
 
-def _supcon_val_loss(params, cfg_text, run, val_pairs, vocab) -> float:
+def _supcon_val_loss(params, run, val_pairs, vocab) -> float:
     params = frozen(params)
     total, count = 0.0, 0
     bs = run.batch_contrastive
@@ -594,8 +593,8 @@ def _supcon_val_loss(params, cfg_text, run, val_pairs, vocab) -> float:
         batch = val_pairs[start : start + bs]
         a = [encode(p.anchor_text, vocab, instruction=p.instruction, max_len=run.max_len) for p in batch]
         pos = [encode(p.positive_text, vocab, max_len=run.max_len) for p in batch]
-        ae = encode_pooled(params, cfg_text, run, a)
-        pe = encode_pooled(params, cfg_text, run, pos)
+        ae = encode_pooled(params, run, a)
+        pe = encode_pooled(params, run, pos)
         loss = supcon_loss(ae, pe, [p.label_key for p in batch], tau=run.supcon_tau)
         total += float(loss.data) * len(batch)
         count += len(batch)
@@ -619,8 +618,7 @@ def train_contrastive(
     else:
         vocab = corpus_vocab(studies)
         rng = stream_rng(run.seed, _STREAM_INIT_TEXT)
-        params = init_text_tower(run.text_config(len(vocab)), rng)
-    cfg_text = run.text_config(len(vocab))
+        params = init_text_tower(run, len(vocab), rng)
     params = _stage_copy(params)
 
     pairs = build_contrastive_pairs(train_studies, stream_rng(run.seed, _STREAM_PAIRS))
@@ -639,12 +637,12 @@ def train_contrastive(
     def step_loss(ids, step, count):
         a = [anchor_seqs[j] for j in ids]
         pos = [positive_seqs[j] for j in ids]
-        ae = encode_pooled(params, cfg_text, run, a, count=count)
-        pe = encode_pooled(params, cfg_text, run, pos, count=count)
+        ae = encode_pooled(params, run, a, count=count)
+        pe = encode_pooled(params, run, pos, count=count)
         return supcon_loss(ae, pe, [pairs[j].label_key for j in ids], tau=run.supcon_tau)
 
     def validate():
-        return {"val_loss": _supcon_val_loss(params, cfg_text, run, val_pairs, vocab)}
+        return {"val_loss": _supcon_val_loss(params, run, val_pairs, vocab)}
 
     return _train_stage(
         "contrastive", run, vocab, params, len(pairs), batches, step_loss, validate,
@@ -676,9 +674,14 @@ def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
     return encode(text, vocab, max_len=run.max_len)
 
 
-def _center_projections(params, view, cfg_text, run, items, limit=256):
+# Training items whose mean tower features initialize the centering vectors.
+CENTER_ITEMS = 256
+
+
+def _center_projections(params, view, run, items):
     """Data-dependent init of the projection centering vectors of `params`,
-    from the features of `view`, their merged frozen view.
+    from the features of `view`, their merged frozen view, over the first
+    CENTER_ITEMS training items.
 
     Both towers emit one dominant shared direction at init, so cosine
     similarities start near 1.0 for every pair — a neighborhood where the
@@ -686,9 +689,9 @@ def _center_projections(params, view, cfg_text, run, items, limit=256):
     zero). Setting `mu` to the mean tower feature over a training prefix
     starts the heads decorrelated; `mu` stays trainable afterwards.
     """
-    probe = items[:limit]
+    probe = items[:CENTER_ITEMS]
     seqs = [seq for seq, _ in probe]
-    t_rows = encode_pooled(view, cfg_text, run, seqs, normalize=False).data
+    t_rows = encode_pooled(view, run, seqs, normalize=False).data
     bs = run.batch_clip
     v_rows = [
         vision_forward(view, images=np.stack([img for _, img in probe[i : i + bs]])).data
@@ -698,13 +701,13 @@ def _center_projections(params, view, cfg_text, run, items, limit=256):
     params["proj_img.mu"].data = np.concatenate(v_rows).mean(axis=0)
 
 
-def _clip_project(params, cfg_text, run, items, count=None):
+def _clip_project(params, run, items, count=None):
     """Projected (image, report) rows of a batch of (token sequence, image)
     items, in the shared space. `params` hold the merged text weights
     (`lora_merge`)."""
     seqs = [seq for seq, _ in items]
     images = np.stack([img for _, img in items])
-    t_emb = encode_pooled(params, cfg_text, run, seqs, normalize=False, count=count)
+    t_emb = encode_pooled(params, run, seqs, normalize=False, count=count)
     v_emb = vision_forward(params, images=images)
     t_proj = project(t_emb, params["proj_text.w"], params["proj_text.mu"])
     v_proj = project(v_emb, params["proj_img.w"], params["proj_img.mu"])
@@ -729,9 +732,7 @@ def train_clip(
     _require_val("clip", len(val_studies), 2)
     vocab = text_init.vocab
     params = _stage_copy(text_init.params)
-    cfg_text = run.text_config(len(vocab))
-    lora = run.lora_config()
-    params.update(init_lora(params, cfg_text, lora, stream_rng(run.seed, _STREAM_INIT_LORA)))
+    params.update(init_lora(params, run, stream_rng(run.seed, _STREAM_INIT_LORA)))
     params.update(init_vision_tower(stream_rng(run.seed, _STREAM_INIT_VISION)))
     rng_proj = stream_rng(run.seed, _STREAM_INIT_PROJ, 1)
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng_proj))
@@ -748,7 +749,7 @@ def train_clip(
 
     train_items = items_for(train_studies)
     val_items = items_for(val_studies)
-    _center_projections(params, lora_merge(frozen(params), lora), cfg_text, run, train_items)
+    _center_projections(params, lora_merge(frozen(params), run), run, train_items)
     lengths = [len(seq.ids) for seq, _ in train_items]
 
     def batches(epoch):
@@ -758,12 +759,12 @@ def train_clip(
     def step_loss(ids, step, count):
         batch = [train_items[j] for j in ids]
         # merged once per step, so backward runs the fold once for all groups
-        merged = lora_merge(params, lora)
-        v_proj, t_proj = _clip_project(merged, cfg_text, run, batch, count)
+        merged = lora_merge(params, run)
+        v_proj, t_proj = _clip_project(merged, run, batch, count)
         return clip_loss(v_proj, t_proj, params["clip.log_tau"])
 
     def validate():
-        return _clip_val(lora_merge(frozen(params), lora), cfg_text, run, val_items)
+        return _clip_val(lora_merge(frozen(params), run), run, val_items)
 
     return _train_stage(
         "clip", run, vocab, params, len(train_items), batches, step_loss, validate,
@@ -771,7 +772,7 @@ def train_clip(
     )
 
 
-def _clip_val(params, cfg_text, run, val_items) -> dict:
+def _clip_val(params, run, val_items) -> dict:
     """Validation loss plus recall@{1,5,10} of image→report retrieval, both
     from one projection of each batch of `params`, the merged frozen view
     that `evals.DualEncoder` also serves."""
@@ -780,7 +781,7 @@ def _clip_val(params, cfg_text, run, val_items) -> dict:
     t_rows, v_rows = [], []
     for start in range(0, len(val_items), bs):
         batch = val_items[start : start + bs]
-        v_proj, t_proj = _clip_project(params, cfg_text, run, batch)
+        v_proj, t_proj = _clip_project(params, run, batch)
         if len(batch) >= 2:
             loss = clip_loss(v_proj, t_proj, params["clip.log_tau"])
             total += float(loss.data) * len(batch)

@@ -1,8 +1,10 @@
 """Word-level tokenizer over the closed grammar vocabulary.
 
 Reserved ids 0..5: PAD, MASK, BOS, EOS, [FINDINGS], [IMPRESSION]; UNK sits
-at id 6. Encoding lowercases; decode(encode(t)) reproduces the lowercased
-text for every grammar output.
+at id 6, kept so vocabulary files stay compatible, though encoding an
+unknown word raises UnknownTokenError instead of emitting it. Encoding
+lowercases; decode(encode(t)) reproduces the lowercased text for every
+grammar output.
 """
 
 from __future__ import annotations
@@ -53,12 +55,10 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    def id_of(self, token: str, strict: bool = True) -> int:
+    def id_of(self, token: str) -> int:
         i = self._ids.get(token)
         if i is None:
-            if strict:
-                raise UnknownTokenError(token)
-            return UNK
+            raise UnknownTokenError(token)
         return i
 
     def token_of(self, idx: int) -> str:
@@ -108,17 +108,16 @@ def encode(
     instruction: str | None = None,
     section: str | None = None,
     max_len: int = 128,
-    strict: bool = True,
 ) -> TokenSequence:
     """Layout: BOS, instruction tokens, section token, content, EOS."""
     prefix = [BOS]
     if instruction:
-        prefix.extend(vocab.id_of(t, strict) for t in tokenize(instruction))
+        prefix.extend(vocab.id_of(t) for t in tokenize(instruction))
     if section is not None:
         if section not in SECTION_IDS:
             raise ValueError(f"unknown section {section!r}")
         prefix.append(SECTION_IDS[section])
-    content = [vocab.id_of(t, strict) for t in tokenize(text)]
+    content = [vocab.id_of(t) for t in tokenize(text)]
     truncated = False
     room = max_len - len(prefix) - 1
     if room <= 0:

@@ -4,15 +4,18 @@ adapters and mean / latent-attention pooling, plus a patch-based vision
 transformer with learned absolute positions and projection heads.
 
 Parameters live in flat name -> Tensor dicts so freezing regimes and
-checkpoints are just name-prefix games. LoRA has one path, `lora_merge`:
-stage 3 trains through the merged weight that validation and the encoders
-run, so no layer has an adapter branch.
+checkpoints are just name-prefix games. The text tower's settings come from
+`pipeline.RunConfig`, the one place they are written: `init_text_tower`
+reads its sizes there, and `text_forward` reads `heads`, `mask_mode` and
+`max_len`. Every shape a parameter array holds (vocabulary size, width,
+layer count, LoRA rank) is read from the arrays. LoRA has one path,
+`lora_merge`: stage 3 trains through the merged weight that validation and
+the encoders run, so no layer has an adapter branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,23 +44,8 @@ from .tokenizer import PAD, SECTION_FINDINGS, SECTION_IMPRESSION, BOS, EOS
 NEG_INF = -1e9
 
 
-@dataclass
-class TextTowerConfig:
-    vocab_size: int
-    layers: int = 2
-    model_dim: int = 64
-    heads: int = 4
-    ffn_dim: int = 256
-    max_len: int = 128
-    mask_mode: str = "bidirectional"
-    latent_rows: int = 8
-
-    def __post_init__(self):
-        if self.model_dim % self.heads:
-            raise ValueError("model_dim must be divisible by heads")
-        if self.mask_mode not in ("causal", "bidirectional"):
-            raise ValueError(f"unknown mask mode {self.mask_mode!r}")
-
+# rows of the latent-attention pooler's learned dictionary
+LATENT_ROWS = 8
 
 # the vision tower reads the grammar's whole canvas, in 8x8 patches
 IMAGE_SIZE = CANVAS
@@ -67,16 +55,6 @@ VISION_LAYERS = 2
 VISION_DIM = 64
 VISION_HEADS = 4
 VISION_FFN_DIM = 256
-
-
-@dataclass
-class LoraConfig:
-    rank: int = 16
-    alpha: float = 32.0
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
 
 
 def _param(rng, shape, std=0.02):
@@ -104,22 +82,24 @@ def _init_block(params, prefix, d, f, rng):
         params[f"{prefix}.{ln}b"] = _zeros((d,))
 
 
-def init_text_tower(cfg: TextTowerConfig, rng: np.random.Generator) -> dict:
-    d = cfg.model_dim
+def init_text_tower(run, vocab_size: int, rng: np.random.Generator) -> dict:
+    """A text tower of `run`'s sizes (a `pipeline.RunConfig`) over a
+    vocabulary of `vocab_size` tokens."""
+    d = run.model_dim
     params = {
-        "text.tok_emb": _param(rng, (cfg.vocab_size, d)),
+        "text.tok_emb": _param(rng, (vocab_size, d)),
         "text.lnfg": _ones((d,)),
         "text.lnfb": _zeros((d,)),
-        "pool.latent": _param(rng, (cfg.latent_rows, d)),
+        "pool.latent": _param(rng, (LATENT_ROWS, d)),
         "pool.w1": _param(rng, (d, d)),
         "pool.b1": _zeros((d,)),
         "pool.w2": _param(rng, (d, d)),
         "pool.b2": _zeros((d,)),
-        "mntp.w": _param(rng, (d, cfg.vocab_size)),
-        "mntp.b": _zeros((cfg.vocab_size,)),
+        "mntp.w": _param(rng, (d, vocab_size)),
+        "mntp.b": _zeros((vocab_size,)),
     }
-    for i in range(cfg.layers):
-        _init_block(params, f"text.l{i}", d, cfg.ffn_dim, rng)
+    for i in range(run.layers):
+        _init_block(params, f"text.l{i}", d, run.ffn_dim, rng)
     return params
 
 
@@ -155,31 +135,34 @@ def init_projection(name: str, in_dim: int, out_dim: int, rng) -> dict:
 LORA_TARGETS = ("wq", "wk", "wv", "wo", "w1", "w2")
 
 
-def init_lora(params: dict, cfg: TextTowerConfig, lora: LoraConfig, rng) -> dict:
-    """Adapter pair per adapted weight; B starts at zero so the adapted
-    forward initially equals the base forward."""
+def init_lora(params: dict, run, rng) -> dict:
+    """Rank-`run.lora_rank` adapter pair per adapted weight of the text tower
+    in `params`; B starts at zero so the adapted forward initially equals
+    the base forward."""
     out = {}
-    for i in range(cfg.layers):
+    for i in range(_layer_count(params, "text")):
         for w in LORA_TARGETS:
             base = f"text.l{i}.{w}"
             in_dim, out_dim = params[base].shape
-            out[f"lora.{base}.A"] = _param(rng, (in_dim, lora.rank))
-            out[f"lora.{base}.B"] = _zeros((lora.rank, out_dim))
+            out[f"lora.{base}.A"] = _param(rng, (in_dim, run.lora_rank))
+            out[f"lora.{base}.B"] = _zeros((run.lora_rank, out_dim))
     return out
 
 
-def lora_merge(params: dict, lora: LoraConfig) -> dict:
-    """Fold adapters into base weights: W + (alpha/r) * A @ B, from autodiff
-    primitives, so trainable adapters get gradients and frozen ones no tape."""
+def lora_merge(params: dict, run) -> dict:
+    """Fold adapters into base weights: W + (alpha/r) * A @ B, with alpha
+    from `run` and the rank r read from A, from autodiff primitives, so
+    trainable adapters get gradients and frozen ones no tape."""
     merged = {}
     for name, p in params.items():
         if name.startswith("lora."):
             continue
         a_key, b_key = f"lora.{name}.A", f"lora.{name}.B"
         if a_key in params:
-            if params[a_key].shape[0] != p.shape[0] or params[b_key].shape[1] != p.shape[1]:
+            a, b = params[a_key], params[b_key]
+            if a.shape[0] != p.shape[0] or b.shape[1] != p.shape[1]:
                 raise ShapeError(f"adapter shape mismatch for {name}")
-            merged[name] = add(p, scale(matmul(params[a_key], params[b_key]), lora.scaling))
+            merged[name] = add(p, scale(matmul(a, b), run.lora_alpha / a.shape[1]))
         else:
             merged[name] = p
     return merged
@@ -217,8 +200,16 @@ def _affine_ln(params, prefix, x):
     return affine_layer_norm(x, params[f"{prefix}g"], params[f"{prefix}b"])
 
 
-def _blocks(params, tower, x, bias, layers, heads, rope=False):
-    for i in range(layers):
+def _layer_count(params, tower) -> int:
+    """Blocks of `tower` in `params`, by key lookups: one per block."""
+    n = 0
+    while f"{tower}.l{n}.wq" in params:
+        n += 1
+    return n
+
+
+def _blocks(params, tower, x, bias, heads, rope=False):
+    for i in range(_layer_count(params, tower)):
         prefix = f"{tower}.l{i}"
         x = add(x, _attention(params, prefix, _affine_ln(params, f"{prefix}.ln1", x), bias, heads, rope))
         x = add(x, _ffn(params, prefix, _affine_ln(params, f"{prefix}.ln2", x)))
@@ -241,26 +232,23 @@ def attention_bias(ids: np.ndarray, mode: str) -> np.ndarray | None:
     return bias
 
 
-def text_forward(
-    params: dict,
-    cfg: TextTowerConfig,
-    ids: np.ndarray,
-    lora: LoraConfig | None = None,
-) -> Tensor:
+def text_forward(params: dict, run, ids: np.ndarray) -> Tensor:
     """(B, T, d) hidden states. Token embeddings carry no position; each
     attention layer rotates queries and keys by their position, so scores
-    depend only on the offset between query and key. With `lora`, the
-    adapters in `params` fold into their base weights first (`lora_merge`)."""
-    params = lora_merge(params, lora) if lora is not None else params
+    depend only on the offset between query and key.
+
+    `run` (a `pipeline.RunConfig`) supplies `heads`, `mask_mode` and
+    `max_len`; every shape comes from `params`. Adapters in `params` are
+    not applied: fold them first with `lora_merge`. `ids` stays the third
+    positional argument: `perfbench/tracer.py` counts a call's tokens from
+    `kwargs["ids"]` or else `args[2]`."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.max() >= cfg.vocab_size:
-        raise ShapeError(f"token id {int(ids.max())} >= vocab size {cfg.vocab_size}")
     B, T = ids.shape
-    if T > cfg.max_len:
-        raise ShapeError(f"sequence length {T} exceeds max_len {cfg.max_len}")
+    if T > run.max_len:
+        raise ShapeError(f"sequence length {T} exceeds max_len {run.max_len}")
     x = embedding(params["text.tok_emb"], ids)
-    bias = attention_bias(ids, cfg.mask_mode)
-    return _blocks(params, "text", x, bias, cfg.layers, cfg.heads, rope=True)
+    bias = attention_bias(ids, run.mask_mode)
+    return _blocks(params, "text", x, bias, run.heads, rope=True)
 
 
 def eligible_mask(ids: np.ndarray, instruction_spans) -> np.ndarray:
@@ -312,7 +300,7 @@ def vision_forward(params: dict, images: np.ndarray) -> Tensor:
     x = concat([cls, x], axis=1)
     T = N_PATCHES + 1
     x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
-    h = _blocks(params, "vision", x, None, VISION_LAYERS, VISION_HEADS)
+    h = _blocks(params, "vision", x, None, VISION_HEADS)
     # readout: the mean over all T tokens, the cls token included
     weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
     return reshape(matmul(Tensor(weights), h), (B, VISION_DIM))

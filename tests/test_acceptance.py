@@ -27,16 +27,9 @@ from cxalign.pipeline import (
     train_mntp,
 )
 from cxalign.tokenizer import Vocabulary, apply_mntp_mask, build_vocab, encode
-from cxalign.towers import (
-    LoraConfig,
-    TextTowerConfig,
-    init_lora,
-    init_text_tower,
-    lora_merge,
-    text_forward,
-)
+from cxalign.towers import init_lora, init_text_tower, lora_merge, text_forward
 
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, rel_error, unfolded_lora_forward
 
 
 # ---------------------------------------------------------------------------
@@ -144,36 +137,35 @@ def _unit_rows(m):
 
 @pytest.fixture(scope="module")
 def tiny_tower():
-    cfg = TextTowerConfig(vocab_size=50, layers=2, model_dim=32, heads=2,
-                          ffn_dim=64, max_len=32)
-    params = init_text_tower(cfg, np.random.default_rng(3))
+    run = RunConfig(layers=2, model_dim=32, heads=2, ffn_dim=64, max_len=32,
+                    lora_rank=4, lora_alpha=16.0)
+    params = init_text_tower(run, 50, np.random.default_rng(3))
     ids = np.random.default_rng(4).integers(7, 50, size=(3, 9))
-    return cfg, params, ids
+    return run, params, ids
 
 
 def test_criterion_3_lora_zero_init_exact(tiny_tower):
-    cfg, params, ids = tiny_tower
-    lora = LoraConfig(rank=4, alpha=16.0)
+    run, params, ids = tiny_tower
     with_adapters = dict(params)
-    with_adapters.update(init_lora(params, cfg, lora, np.random.default_rng(5)))
-    base = text_forward(params, cfg, ids)
-    adapted = text_forward(with_adapters, cfg, ids, lora=lora)
+    with_adapters.update(init_lora(params, run, np.random.default_rng(5)))
+    base = text_forward(params, run, ids)
+    adapted = text_forward(lora_merge(with_adapters, run), run, ids)
     assert np.array_equal(base.data, adapted.data)
 
 
 def test_criterion_3_lora_merge_tolerance(tiny_tower):
-    cfg, params, ids = tiny_tower
-    lora = LoraConfig(rank=4, alpha=16.0)
+    run, params, ids = tiny_tower
     with_adapters = dict(params)
-    with_adapters.update(init_lora(params, cfg, lora, np.random.default_rng(5)))
+    with_adapters.update(init_lora(params, run, np.random.default_rng(5)))
     # give the adapters non-trivial weights
     rng = np.random.default_rng(6)
     for name, p in with_adapters.items():
         if name.startswith("lora."):
             p.data = rng.normal(scale=0.05, size=p.data.shape).astype(np.float32)
-    adapted = text_forward(with_adapters, cfg, ids, lora=lora)
-    merged = lora_merge(with_adapters, lora)
-    folded = text_forward(merged, cfg, ids)
+    # the reference runs each adapter beside its weight, unfolded
+    adapted = unfolded_lora_forward(with_adapters, run, ids)
+    merged = lora_merge(with_adapters, run)
+    folded = text_forward(merged, run, ids)
     assert np.max(np.abs(adapted.data - folded.data)) <= 1e-5
 
 

@@ -323,10 +323,9 @@ def dual_encoder():
     studies = generate_corpus(30, seed=11)
     run = RunConfig(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4)
     vocab = corpus_vocab(studies)
-    cfg_text = run.text_config(len(vocab))
     rng = np.random.default_rng(0)
-    params = init_text_tower(cfg_text, rng)
-    params.update(init_lora(params, cfg_text, run.lora_config(), rng))
+    params = init_text_tower(run, len(vocab), rng)
+    params.update(init_lora(params, run, rng))
     params.update(init_vision_tower(rng))
     params.update(init_projection("proj_text", run.model_dim, run.shared_dim, rng))
     params.update(init_projection("proj_img", 64, run.shared_dim, rng))
@@ -338,10 +337,9 @@ def dual_encoder():
 def _stage3_result(run, studies, seed=0):
     """A stage-3 result at random init with nonzero adapters."""
     vocab = corpus_vocab(studies)
-    cfg_text = run.text_config(len(vocab))
     rng = np.random.default_rng(seed)
-    params = init_text_tower(cfg_text, rng)
-    params.update(init_lora(params, cfg_text, run.lora_config(), rng))
+    params = init_text_tower(run, len(vocab), rng)
+    params.update(init_lora(params, run, rng))
     for name, p in params.items():
         if name.startswith("lora.") and name.endswith(".B"):
             p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
@@ -363,9 +361,8 @@ def test_dual_encoder_folds_lora_within_tolerance():
     texts = [s.findings_text for s in studies]
     seqs = [encode(t, result.vocab, max_len=run.max_len) for t in texts]
     view = frozen(result.params)
-    cfg_text = run.text_config(len(result.vocab))
-    adapted = encode_pooled(lora_merge(view, run.lora_config()), cfg_text, run, seqs, normalize=False)
-    unfolded = encode_pooled(view, cfg_text, run, seqs, normalize=False)
+    adapted = encode_pooled(lora_merge(view, run), run, seqs, normalize=False)
+    unfolded = encode_pooled(view, run, seqs, normalize=False)
     assert np.abs(adapted.data - unfolded.data).max() > 1e-3  # the adapters matter
     reports = project(adapted, view["proj_text.w"], view["proj_text.mu"]).data
     assert np.abs(enc.embed_reports(texts) - reports).max() <= 1e-5

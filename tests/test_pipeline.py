@@ -83,6 +83,13 @@ def test_config_digest_changes_with_fields():
     assert RunConfig().digest() != RunConfig(mask_prob=0.3).digest()
 
 
+def test_default_config_digest_is_pinned():
+    # Every saved run directory carries its config's digest in its
+    # checkpoint headers, and `load_stage` refuses a mismatch: a change to a
+    # field or a default must be deliberate, with this pin updated with it.
+    assert RunConfig().digest() == "c122ec0d62042f1c"
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -91,11 +98,19 @@ def test_config_digest_changes_with_fields():
         {"mask_prob": 1.5},
         {"mask_mode": "diagonal"},
         {"pooling": "max"},
+        {"heads": 3},
+        *({name: 0} for name in (
+            "layers", "model_dim", "heads", "ffn_dim", "max_len", "shared_dim", "supcon_tau", "lora_rank",
+        )),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
+    """A bad value is refused when the config is built or read, not when a
+    later stage first uses it."""
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+    with pytest.raises(ValueError):
+        RunConfig.from_json(json.dumps({**json.loads(RunConfig().to_json()), **kwargs}))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +222,7 @@ def test_checkpoint_overflowing_shape_raises_checkpoint_error(tmp_path):
 def tower(corpus):
     run = RunConfig(**TINY)
     vocab = corpus_vocab(corpus)
-    cfg = run.text_config(len(vocab))
-    params = init_text_tower(cfg, np.random.default_rng(0))
+    params = init_text_tower(run, len(vocab), np.random.default_rng(0))
     # distinct sequences of mixed lengths: findings, impressions and
     # instructed anchors, shuffled
     seqs = [encode(s.findings_text, vocab) for s in corpus[:12]]
@@ -217,22 +231,22 @@ def tower(corpus):
     seqs += [encode(p.anchor_text, vocab, instruction=p.instruction) for p in pairs]
     seqs = list({tuple(s.ids): s for s in seqs}.values())
     seqs = [seqs[j] for j in np.random.default_rng(2).permutation(len(seqs))]
-    return run, cfg, params, seqs
+    return run, params, seqs
 
 
-def _one_batch_pooled(params, cfg, run, seqs):
+def _one_batch_pooled(params, run, seqs):
     """Reference: every sequence in one padded forward."""
     ids, spans = pad_batch(seqs)
-    hidden = text_forward(params, cfg, ids)
+    hidden = text_forward(params, run, ids)
     return l2_normalize(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
 
 
-def _one_batch_mntp_loss(params, cfg, run, seqs, step):
+def _one_batch_mntp_loss(params, run, seqs, step):
     """Reference: the MNTP step loss from one padded forward."""
     rng = stream_rng(run.seed, pipeline._STREAM_MASK, step)
     masked = [apply_mntp_mask(s, run.mask_prob, rng) for s in seqs]
     ids, _ = pad_batch(masked)
-    logits = add(matmul(text_forward(params, cfg, ids), params["mntp.w"]), params["mntp.b"])
+    logits = add(matmul(text_forward(params, run, ids), params["mntp.w"]), params["mntp.b"])
     positions = [(b, p) for b, s in enumerate(masked) for p in s.mask_positions]
     targets = [t for s in masked for t in s.mask_targets]
     return mntp_loss(logits, targets, positions, shift=run.mntp_shift)
@@ -240,12 +254,12 @@ def _one_batch_mntp_loss(params, cfg, run, seqs, step):
 
 @pytest.mark.parametrize("pooling", ["mean", "latent"])
 def test_grouped_rows_match_one_padded_batch(tower, pooling):
-    run, cfg, params, seqs = tower
+    _, params, seqs = tower
     run = RunConfig(**{**TINY, "pooling": pooling})
     lengths = [len(s.ids) for s in seqs]
     assert len(seqs) > 2 * GROUP_ROWS and lengths != sorted(lengths)
-    rows = encode_pooled(params, cfg, run, seqs).data
-    ref = _one_batch_pooled(params, cfg, run, seqs).data
+    rows = encode_pooled(params, run, seqs).data
+    ref = _one_batch_pooled(params, run, seqs).data
     np.testing.assert_allclose(rows, ref, atol=1e-5, rtol=0)
     # neighbouring rows differ by far more than atol, so a misplaced row
     # would show
@@ -265,14 +279,14 @@ GROUPED_RTOL = 1e-4
 
 
 def test_grouped_supcon_gradients_match_one_padded_batch(tower):
-    run, cfg, params, seqs = tower
+    run, params, seqs = tower
     half = len(seqs) // 2
     anchors, positives = seqs[:half], seqs[half : 2 * half]
     labels = [j % 5 for j in range(half)]
     losses, grads = [], []
     for embed in (encode_pooled, _one_batch_pooled):
         loss = supcon_loss(
-            embed(params, cfg, run, anchors), embed(params, cfg, run, positives), labels
+            embed(params, run, anchors), embed(params, run, positives), labels
         )
         losses.append(float(loss.data))
         grads.append(_grads(params, loss))
@@ -283,9 +297,9 @@ def test_grouped_supcon_gradients_match_one_padded_batch(tower):
 
 
 def test_grouped_mntp_step_loss_matches_one_padded_batch(tower):
-    run, cfg, params, seqs = tower
-    loss = _mntp_step_loss(params, cfg, run, seqs, step=3)
-    ref = _one_batch_mntp_loss(params, cfg, run, seqs, step=3)
+    run, params, seqs = tower
+    loss = _mntp_step_loss(params, run, seqs, step=3)
+    ref = _one_batch_mntp_loss(params, run, seqs, step=3)
     assert float(loss.data) == pytest.approx(float(ref.data), rel=GROUPED_RTOL)
     grads, ref_grads = _grads(params, loss), _grads(params, ref)
     assert grads.keys() == ref_grads.keys()
@@ -298,12 +312,12 @@ def test_step_log_counts_the_tokens_the_forwards_ran(corpus, monkeypatch):
     and padding of that step's training forwards."""
     steps, widths, pending = [], [], [0, 0, set()]
 
-    def spy_forward(params, cfg, ids, **kwargs):
+    def spy_forward(params, run, ids, **kwargs):
         if any(p.requires_grad for p in params.values()):
             pending[0] += ids.size
             pending[1] += int((ids == PAD).sum())
             pending[2].add(ids.shape[1])
-        return text_forward(params, cfg, ids, **kwargs)
+        return text_forward(params, run, ids, **kwargs)
 
     def spy_backward(loss):
         steps.append(tuple(pending[:2]))
@@ -477,8 +491,8 @@ def test_divergence_checkpoint_records_the_failing_step(corpus, tmp_path, monkey
     k = 5
     step_loss = pipeline._mntp_step_loss
 
-    def nan_at_k(params, cfg, run, seqs, step, train=True, count=None):
-        loss = step_loss(params, cfg, run, seqs, step, train=train, count=count)
+    def nan_at_k(params, run, seqs, step, train=True, count=None):
+        loss = step_loss(params, run, seqs, step, train=train, count=count)
         return Tensor(np.nan) if train and step == k else loss
 
     monkeypatch.setattr(pipeline, "_mntp_step_loss", nan_at_k)
@@ -515,7 +529,7 @@ def test_too_small_validation_split_is_rejected_before_any_step(monkeypatch):
     monkeypatch.setattr(pipeline, "text_forward", lambda *a, **k: forwards.append(a))
     run = RunConfig(**TINY)
     vocab = corpus_vocab(studies)
-    tower = init_text_tower(run.text_config(len(vocab)), np.random.default_rng(0))
+    tower = init_text_tower(run, len(vocab), np.random.default_rng(0))
     text = StageResult("contrastive", tower, vocab, run, 0, AdamW(group_lrs={"": 1e-3}))
     for train in (
         lambda: train_mntp(studies, run),

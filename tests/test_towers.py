@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, rel_error, unfolded_lora_forward
 from cxalign.autodiff import NonFiniteError, ShapeError, Tensor, backward, mul, sum_
+from cxalign.pipeline import RunConfig
 from cxalign.tokenizer import BOS, EOS, PAD
 from cxalign import towers as tw
 
 
-CFG = tw.TextTowerConfig(vocab_size=50)
-CAUSAL = dataclasses.replace(CFG, mask_mode="causal")
+RUN = RunConfig()
+CAUSAL = dataclasses.replace(RUN, mask_mode="causal")
+VOCAB = 50
 
 
 @pytest.fixture(scope="module")
 def params():
-    return tw.init_text_tower(CFG, np.random.default_rng(0))
+    return tw.init_text_tower(RUN, VOCAB, np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +47,16 @@ def test_bidirectional_sees_future(params):
     a = seq_ids(10, 11, 12, 13)
     b = a.copy()
     b[0, 3] = 20
-    ha = tw.text_forward(params, CFG, a).data
-    hb = tw.text_forward(params, CFG, b).data
+    ha = tw.text_forward(params, RUN, a).data
+    hb = tw.text_forward(params, RUN, b).data
     assert not np.allclose(ha[0, 1], hb[0, 1])
 
 
 def test_pad_positions_do_not_affect_content(params):
     a = seq_ids(10, 11)
     padded = np.concatenate([a, np.full((1, 3), PAD, dtype=np.int64)], axis=1)
-    ha = tw.text_forward(params, CFG, a).data
-    hb = tw.text_forward(params, CFG, padded).data
+    ha = tw.text_forward(params, RUN, a).data
+    hb = tw.text_forward(params, RUN, padded).data
     np.testing.assert_allclose(ha[0], hb[0, : a.shape[1]], atol=1e-5)
 
 
@@ -62,19 +64,19 @@ def test_mask_mode_toggle_preserves_census(params):
     ids = seq_ids(7, 8, 9)
     before = {n: p.shape for n, p in params.items()}
     tw.text_forward(params, CAUSAL, ids)
-    tw.text_forward(params, CFG, ids)
+    tw.text_forward(params, RUN, ids)
     assert {n: p.shape for n, p in params.items()} == before
 
 
 def test_out_of_range_id_rejected(params):
     with pytest.raises(ShapeError):
-        tw.text_forward(params, CFG, seq_ids(CFG.vocab_size))
+        tw.text_forward(params, RUN, seq_ids(VOCAB))
 
 
 def test_too_long_sequence_rejected(params):
-    ids = np.full((1, CFG.max_len + 1), 10, dtype=np.int64)
+    ids = np.full((1, RUN.max_len + 1), 10, dtype=np.int64)
     with pytest.raises(ShapeError):
-        tw.text_forward(params, CFG, ids)
+        tw.text_forward(params, RUN, ids)
 
 
 def test_attention_bias_only_when_something_is_masked():
@@ -129,8 +131,8 @@ def test_latent_pool_shape_any_length(params):
 
 def test_latent_pool_single_row_latent():
     """r_lat=1: softmax over one key makes attention weights all one."""
-    cfg = tw.TextTowerConfig(vocab_size=50, latent_rows=1)
-    params = tw.init_text_tower(cfg, np.random.default_rng(5))
+    params = tw.init_text_tower(RUN, VOCAB, np.random.default_rng(5))
+    params["pool.latent"] = Tensor(np.random.default_rng(5).normal(0, 0.02, (1, 64)).astype(np.float32))
     hidden_a = Tensor(np.random.default_rng(6).normal(size=(1, 4, 64)).astype(np.float32))
     hidden_b = Tensor(np.random.default_rng(7).normal(size=(1, 4, 64)).astype(np.float32))
     elig = np.ones((1, 4), dtype=bool)
@@ -154,50 +156,49 @@ def test_pool_all_excluded_rejected(params):
 @given(st.integers(0, 10_000))
 def test_lora_zero_init_and_merge_equivalence(seed):
     rng = np.random.default_rng(seed)
-    cfg = tw.TextTowerConfig(vocab_size=30, layers=int(rng.integers(1, 3)))
-    lcfg = tw.LoraConfig(rank=int(rng.integers(1, 17)))
-    params = tw.init_text_tower(cfg, rng)
-    adapters = tw.init_lora(params, cfg, lcfg, rng)
+    run = RunConfig(layers=int(rng.integers(1, 3)), lora_rank=int(rng.integers(1, 17)))
+    params = tw.init_text_tower(run, 30, rng)
+    adapters = tw.init_lora(params, run, rng)
     params.update(adapters)
     ids = rng.integers(7, 30, size=(2, 6))
-    base = tw.text_forward(params, cfg, ids, lora=None).data
-    with_zero_b = tw.text_forward(params, cfg, ids, lora=lcfg).data
+    base = tw.text_forward(params, run, ids).data
+    with_zero_b = tw.text_forward(tw.lora_merge(params, run), run, ids).data
     np.testing.assert_array_equal(base, with_zero_b)
 
-    # train-like perturbation of B, then merge
+    # train-like perturbation of B, then the fold against the unfolded forward
     for name in adapters:
         if name.endswith(".B"):
             params[name].data += rng.normal(0, 0.02, params[name].shape).astype(np.float32)
-    adapted = tw.text_forward(params, cfg, ids, lora=lcfg).data
-    merged = tw.lora_merge(params, lcfg)
-    merged_out = tw.text_forward(merged, cfg, ids, lora=None).data
+    adapted = unfolded_lora_forward(params, run, ids).data
+    merged = tw.lora_merge(params, run)
+    merged_out = tw.text_forward(merged, run, ids).data
     assert np.abs(adapted - merged_out).max() <= 1e-5
 
 
 def test_lora_alpha_zero_inert(params):
-    lcfg = tw.LoraConfig(alpha=0.0)
+    run = RunConfig(lora_alpha=0.0)
     rng = np.random.default_rng(8)
-    adapters = tw.init_lora(params, CFG, lcfg, rng)
+    adapters = tw.init_lora(params, run, rng)
     full = dict(params)
     full.update(adapters)
     for name in adapters:
         full[name].data += rng.normal(0, 0.5, full[name].shape).astype(np.float32)
     ids = seq_ids(10, 11, 12)
     np.testing.assert_array_equal(
-        tw.text_forward(params, CFG, ids).data, tw.text_forward(full, CFG, ids, lora=lcfg).data
+        unfolded_lora_forward(full, run, ids).data,
+        tw.text_forward(tw.lora_merge(full, run), run, ids).data,
     )
 
 
 def test_lora_gradients_through_merge():
-    """Stage 3's gradients: through `text_forward(..., lora=)`, which merges
-    at entry, finite differences of a scalar match backward for every
+    """Stage 3's gradients: through `lora_merge` and the forward of the
+    merged weights, finite differences of a scalar match backward for every
     adapter A and B (B nonzero), at criterion 1's tolerance; the frozen
     base gets no gradient."""
     rng = np.random.default_rng(0)
-    cfg = tw.TextTowerConfig(vocab_size=30, layers=1, model_dim=8, heads=2, ffn_dim=16)
-    lcfg = tw.LoraConfig(rank=2, alpha=4.0)
-    params = tw.init_text_tower(cfg, rng)
-    params.update(tw.init_lora(params, cfg, lcfg, rng))
+    run = RunConfig(layers=1, model_dim=8, heads=2, ffn_dim=16, lora_rank=2, lora_alpha=4.0)
+    params = tw.init_text_tower(run, 30, rng)
+    params.update(tw.init_lora(params, run, rng))
     # larger weights than at init keep layer norm's inputs away from zero
     # variance, where its curvature would swamp the central differences
     for name, p in params.items():
@@ -206,10 +207,10 @@ def test_lora_gradients_through_merge():
             p.data = rng.normal(0, std, p.shape).astype(np.float32)
     tw.set_trainable(params, lambda n: n.startswith("lora."))
     ids = rng.integers(7, 30, size=(2, 5))
-    weights = Tensor(rng.normal(size=(2, 5, cfg.model_dim)).astype(np.float32))
+    weights = Tensor(rng.normal(size=(2, 5, run.model_dim)).astype(np.float32))
 
     def value():
-        return sum_(mul(tw.text_forward(params, cfg, ids, lora=lcfg), weights))
+        return sum_(mul(tw.text_forward(tw.lora_merge(params, run), run, ids), weights))
 
     backward(value())
     adapters = [n for n in params if n.startswith("lora.")]
@@ -287,18 +288,18 @@ def test_frozen_views_share_memory_and_record_no_tape(params, vparams):
     assert all(np.shares_memory(view[n].data, p.data) for n, p in params.items())
     assert not any(v.requires_grad for v in view.values())
     ids = np.concatenate([seq_ids(10, 11, 12), seq_ids(13, 14, 15)])
-    hidden = tw.text_forward(view, CFG, ids)
+    hidden = tw.text_forward(view, RUN, ids)
     pooled = tw.pool(view, hidden, tw.eligible_mask(ids, [(0, 0), (0, 0)]), "latent")
     images = np.random.default_rng(2).random((2, 64, 64)).astype(np.float32)
     vision = tw.vision_forward(tw.frozen(vparams), images=images)
     for out in (hidden, pooled, vision):
         assert out._parents == () and not out.requires_grad
     # the same forward over the trainable parameters does record a tape
-    assert tw.text_forward(params, CFG, ids)._parents
+    assert tw.text_forward(params, RUN, ids)._parents
 
 
 def test_frozen_forward_still_rejects_non_finite_weights(params):
     bad = {n: Tensor(p.data.copy()) for n, p in params.items()}
     bad["text.l0.wq"].data[0, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        tw.text_forward(tw.frozen(bad), CFG, seq_ids(10, 11, 12))
+        tw.text_forward(tw.frozen(bad), RUN, seq_ids(10, 11, 12))
