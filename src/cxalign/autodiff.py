@@ -299,14 +299,19 @@ def softmax(a) -> Tensor:
     return _track(out, (a,), bwd)
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple:
+# added to the variance of `_normalize` and to the norm of `l2_normalize`
+LAYER_NORM_EPS = 1e-5
+L2_EPS = 1e-12
+
+
+def _normalize(x: np.ndarray) -> tuple:
     """Rows of `x` at zero mean and unit variance, and their 1/std."""
     # sum / n is bit for bit ndarray.mean's float32 value, without its wrapper
     n = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     return xc * inv, inv
 
 
@@ -317,10 +322,10 @@ def _normalize_grad(out: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarr
     return inv * (g - gsum / n - out * gdot / n)
 
 
-def layer_norm(a, eps: float = 1e-5) -> Tensor:
+def layer_norm(a) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine)."""
     a = _as_tensor(a)
-    out, inv = _normalize(a.data, eps)
+    out, inv = _normalize(a.data)
 
     def bwd(g):
         return (_normalize_grad(out, inv, g),)
@@ -328,14 +333,14 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
     return _track(out, (a,), bwd)
 
 
-def affine_layer_norm(a, gain, shift, eps: float = 1e-5) -> Tensor:
+def affine_layer_norm(a, gain, shift) -> Tensor:
     """`layer_norm(a) * gain + shift` as one node, for (d,) gain and shift."""
     a, gain, shift = _as_tensor(a), _as_tensor(gain), _as_tensor(shift)
     if gain.shape != a.shape[-1:] or shift.shape != a.shape[-1:]:
         raise ShapeError(
             f"affine_layer_norm: shapes {a.shape}, {gain.shape} and {shift.shape} incompatible"
         )
-    norm, inv = _normalize(a.data, eps)
+    norm, inv = _normalize(a.data)
     out = norm * gain.data
     out += shift.data
 
@@ -484,17 +489,17 @@ def minimum_const(a, c: float) -> Tensor:
     return _track(out, (a,), bwd)
 
 
-def l2_normalize(a, eps: float = 1e-12) -> Tensor:
+def l2_normalize(a) -> Tensor:
     """Row-wise L2 normalization over the last axis; zero rows are rejected."""
     a = _as_tensor(a)
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     if np.any(norm < 1e-8):
         raise ValueError("l2_normalize: zero-norm row has undefined direction")
-    out = a.data / (norm + eps)
+    out = a.data / (norm + L2_EPS)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - out * dot) / (norm + eps),)
+        return ((g - out * dot) / (norm + L2_EPS),)
 
     return _track(out, (a,), bwd)
 

@@ -136,7 +136,11 @@ def cmd_train(args) -> int:
     if args.stage == "clip" and not args.init:
         print("train clip: --init (stage-2 run directory) is required", file=sys.stderr)
         return 2
-    run = _load_config(args.config, args.seed)
+    try:
+        run = _load_config(args.config, args.seed)
+    except ValueError as e:
+        print(f"train {args.stage}: {e}", file=sys.stderr)
+        return 2
     studies = read_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "log.jsonl")

@@ -94,8 +94,8 @@ class TextEncoder:
         self.vocab = result.vocab
         self.run = result.config
 
-    def embed(self, texts, instruction=None, section=None) -> np.ndarray:
-        return self._embed(texts, instruction=instruction, section=section)
+    def embed(self, texts, instruction=None) -> np.ndarray:
+        return self._embed(texts, instruction=instruction)
 
     def _embed(self, inputs, image=False, instruction=None, section=None, head=None):
         """(N, d) rows for texts, or for images when `image` is set, in

@@ -31,11 +31,11 @@ from .pipeline import (
 )
 
 
-def run_smoke(n: int = 2000, seed: int = 4096, run: RunConfig | None = None) -> dict:
+def run_smoke(n: int = 2000, seed: int = 4096) -> dict:
     """Full 3-stage pipeline on a fresh corpus; returns held-out metrics
     plus stage results for further inspection."""
     t0 = time.time()
-    run = run or RunConfig()
+    run = RunConfig()
     studies = generate_corpus(n, seed=seed)
     train, val = split_corpus(studies)
     r1 = train_mntp(studies, run)

@@ -5,7 +5,6 @@ from .types import (
     LOCATIONS,
     SEVERITIES,
     TEMPORALS,
-    GenProfile,
     Label,
     LatentFinding,
     LatentStudy,
@@ -29,7 +28,6 @@ __all__ = [
     "LOCATIONS",
     "SEVERITIES",
     "TEMPORALS",
-    "GenProfile",
     "Label",
     "LatentFinding",
     "LatentStudy",

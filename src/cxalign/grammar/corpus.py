@@ -11,7 +11,7 @@ import numpy as np
 from .image import render_image
 from .render import inject_errors, make_variants, render_report
 from .sampler import sample_latent_study
-from .types import GenProfile, LatentFinding, LatentStudy, RenderedStudy
+from .types import LatentFinding, LatentStudy, RenderedStudy
 
 
 class CorpusFormatError(ValueError):
@@ -34,14 +34,12 @@ def build_study(latent: LatentStudy, seed: int, index: int, noise_sigma: float) 
 
 
 def generate_corpus(n: int, seed: int, noise_sigma: float = 0.05) -> list[RenderedStudy]:
-    """Deterministic corpus of paired studies, sampled from the default
-    `GenProfile`: same (n, seed, noise_sigma) always yields bit-identical
-    output."""
-    profile = GenProfile()
+    """Deterministic corpus of paired studies: same (n, seed, noise_sigma)
+    always yields bit-identical output."""
     out = []
     for i in range(n):
         rng = np.random.default_rng([seed, i, 0])
-        latent = sample_latent_study(rng, profile, study_id=f"s{i:06d}", seed=seed)
+        latent = sample_latent_study(rng, f"s{i:06d}", seed)
         out.append(build_study(latent, seed, i, noise_sigma))
     return out
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,9 +29,6 @@ TEMPORALS = ("none", "new", "stable", "improved", "worsened")
 
 # nodule size in millimetres encodes severity; band edges are the oracle
 NODULE_MM = {"mild": 4, "moderate": 8, "severe": 15}
-
-# image-left renders the patient's right side; fixed radiographic convention
-IMAGE_LEFT_IS_PATIENT_RIGHT = True
 
 # Canonical label tuple: (kind, location, severity-or-None, negated, temporal).
 # Severity is None for negated findings (it is clinically meaningless there)
@@ -104,29 +101,6 @@ class LatentStudy:
 
     def label_set(self) -> frozenset:
         return frozenset(f.label() for f in self.findings)
-
-
-@dataclass
-class GenProfile:
-    """Sampling profile for latent studies."""
-
-    normal_prob: float = 0.25
-    kind_weights: dict = field(default_factory=lambda: {k: 1.0 for k in KINDS})
-    max_findings: int = 5
-    negated_prob: float = 0.2
-    temporal_prob: float = 0.4
-
-    def __post_init__(self):
-        if not 0.0 <= self.normal_prob <= 1.0:
-            raise ValueError("normal_prob must be in [0, 1]")
-        weights = {k: self.kind_weights.get(k, 0.0) for k in KINDS}
-        if any(w < 0 for w in weights.values()):
-            raise ValueError("kind weights must be non-negative")
-        if sum(weights.values()) <= 0:
-            raise ValueError("kind weights must not all be zero")
-        self.kind_weights = weights
-        if not 1 <= self.max_findings <= 5:
-            raise ValueError("max_findings must be in 1..5")
 
 
 @dataclass

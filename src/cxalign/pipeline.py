@@ -10,6 +10,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -100,8 +101,8 @@ class RunConfig:
     seed: int = 4096
     mask_prob: float = 0.2
     section_aware: bool = False
-    mask_mode: str = "bidirectional"
-    pooling: str = "mean"
+    mask_mode: Literal["bidirectional", "causal"] = "bidirectional"
+    pooling: Literal["mean", "latent"] = "mean"
     mntp_shift: bool = True
     supcon_tau: float = 0.07
     layers: int = 2
@@ -114,38 +115,29 @@ class RunConfig:
     lora_alpha: float = 32.0
 
     def __post_init__(self):
-        for name in (
-            "epochs_mntp",
-            "epochs_contrastive",
-            "epochs_clip",
-            "batch_mntp",
-            "batch_contrastive",
-            "batch_clip",
-            "lr_mntp",
-            "lr_text",
-            "lr_projection",
-            "supcon_tau",
-            "layers",
-            "model_dim",
-            "heads",
-            "ffn_dim",
-            "max_len",
-            "shared_dim",
-            "lora_rank",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"RunConfig.{name} must be positive")
+        # The declarations give each field's type and, for a Literal, its
+        # values. bool, int and str match exactly. An int is accepted for a
+        # float and kept as given: coercing it would change the digest of a
+        # config as written, and `load_stage` would refuse its run directories.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if get_origin(kind) is Literal:
+                if value not in get_args(kind):
+                    raise ValueError(f"RunConfig.{f.name} must be one of {get_args(kind)}, not {value!r}")
+                continue
+            if type(value) is not kind and (kind, type(value)) != (float, int):
+                raise ValueError(f"RunConfig.{f.name} must be {kind.__name__}, not {value!r}")
+            if kind in (int, float) and f.name not in ("seed", "lora_alpha") and not value > 0:
+                raise ValueError(f"RunConfig.{f.name} must be positive")
+        if self.seed < 0:
+            raise ValueError("RunConfig.seed must be non-negative: it seeds every RNG stream")
         if self.model_dim % self.heads:
             raise ValueError("RunConfig.model_dim must be divisible by heads")
         for name in ("batch_contrastive", "batch_clip"):
             if getattr(self, name) < 2:
                 raise ValueError(f"RunConfig.{name} must be at least 2: a batch needs a negative")
-        if not 0.0 < self.mask_prob < 1.0:
-            raise ValueError("mask_prob must be in (0, 1)")
-        if self.mask_mode not in ("bidirectional", "causal"):
-            raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
-        if self.pooling not in ("mean", "latent"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
+        if not self.mask_prob < 1.0:
+            raise ValueError("RunConfig.mask_prob must be below 1")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -153,6 +145,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"RunConfig: a config document is a JSON object, not {type(doc).__name__}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"RunConfig: unknown keys {unknown}")
@@ -162,6 +156,9 @@ class RunConfig:
         return hashlib.sha256(
             json.dumps(asdict(self), sort_keys=True).encode()
         ).hexdigest()[:16]
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def stream_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:
@@ -510,17 +507,11 @@ def _mntp_step_loss(params, run, seqs, step, train=True, count=None):
     return loss
 
 
-def _mntp_val_loss(params, run, val_texts, vocab) -> float:
-    params = frozen(params)
-    total, count = 0.0, 0
-    bs = run.batch_mntp
-    for start in range(0, len(val_texts), bs):
-        chunk = val_texts[start : start + bs]
-        seqs = [encode(t, vocab, max_len=run.max_len) for t in chunk]
-        loss = _mntp_step_loss(params, run, seqs, step=start, train=False)
-        total += float(loss.data) * len(chunk)
-        count += len(chunk)
-    return total / count
+def _chunk_mean(chunks, chunk_loss) -> float:
+    """Item-weighted mean of `chunk_loss(chunk)` over `chunks`, ranges of
+    item indices: a validation split's loss, scored in batch-sized chunks."""
+    total = sum(float(chunk_loss(c).data) * len(c) for c in chunks)
+    return total / sum(len(c) for c in chunks)
 
 
 def train_mntp(
@@ -548,6 +539,9 @@ def train_mntp(
     else:
         params = init_text_tower(run, len(vocab), stream_rng(run.seed, _STREAM_INIT_TEXT))
     seqs = [encode(t, vocab, max_len=run.max_len) for t in mntp_text_pool(train_studies)]
+    val_seqs = [encode(t, vocab, max_len=run.max_len) for t in val_texts]
+    bs, n_val = run.batch_mntp, len(val_seqs)
+    val_chunks = [range(s, min(s + bs, n_val)) for s in range(0, n_val, bs)]
     lengths = [len(s.ids) for s in seqs]
 
     def batches(epoch):
@@ -558,7 +552,12 @@ def train_mntp(
         return _mntp_step_loss(params, run, [seqs[j] for j in batch], step, count=count)
 
     def validate():
-        return {"val_loss": _mntp_val_loss(params, run, val_texts, vocab)}
+        view = frozen(params)
+        # a chunk's masks are keyed by its start
+        return {"val_loss": _chunk_mean(
+            val_chunks,
+            lambda c: _mntp_step_loss(view, run, val_seqs[c.start : c.stop], c.start, train=False),
+        )}
 
     return _train_stage(
         "mntp", run, vocab, params, len(seqs), batches, step_loss, validate,
@@ -585,20 +584,24 @@ def encode_pooled(params, run: RunConfig, seqs, normalize=True, count=None):
     return l2_normalize(pooled) if normalize else pooled
 
 
-def _supcon_val_loss(params, run, val_pairs, vocab) -> float:
-    params = frozen(params)
-    total, count = 0.0, 0
-    bs = run.batch_contrastive
-    for start in range(0, len(val_pairs) - 1, bs):
-        batch = val_pairs[start : start + bs]
-        a = [encode(p.anchor_text, vocab, instruction=p.instruction, max_len=run.max_len) for p in batch]
-        pos = [encode(p.positive_text, vocab, max_len=run.max_len) for p in batch]
-        ae = encode_pooled(params, run, a)
-        pe = encode_pooled(params, run, pos)
-        loss = supcon_loss(ae, pe, [p.label_key for p in batch], tau=run.supcon_tau)
-        total += float(loss.data) * len(batch)
-        count += len(batch)
-    return total / count
+def _encode_pairs(pairs, vocab, run: RunConfig) -> tuple:
+    """(anchor sequences, positive sequences, label keys) of contrastive
+    pairs."""
+    anchors = [
+        encode(p.anchor_text, vocab, instruction=p.instruction, max_len=run.max_len)
+        for p in pairs
+    ]
+    positives = [encode(p.positive_text, vocab, max_len=run.max_len) for p in pairs]
+    return anchors, positives, [p.label_key for p in pairs]
+
+
+def _supcon_step_loss(params, run, encoded, ids, count):
+    """Supervised contrastive loss of pairs `ids` of `encoded`, an
+    `_encode_pairs` triple."""
+    anchors, positives, keys = encoded
+    ae = encode_pooled(params, run, [anchors[j] for j in ids], count=count)
+    pe = encode_pooled(params, run, [positives[j] for j in ids], count=count)
+    return supcon_loss(ae, pe, [keys[j] for j in ids], tau=run.supcon_tau)
 
 
 def train_contrastive(
@@ -622,12 +625,11 @@ def train_contrastive(
     params = _stage_copy(params)
 
     pairs = build_contrastive_pairs(train_studies, stream_rng(run.seed, _STREAM_PAIRS))
-    anchor_seqs = [
-        encode(p.anchor_text, vocab, instruction=p.instruction, max_len=run.max_len)
-        for p in pairs
-    ]
-    positive_seqs = [encode(p.positive_text, vocab, max_len=run.max_len) for p in pairs]
-    bs = run.batch_contrastive
+    encoded = _encode_pairs(pairs, vocab, run)
+    val_encoded = _encode_pairs(val_pairs, vocab, run)
+    bs, n_val = run.batch_contrastive, len(val_pairs)
+    # as in training, a last chunk of a single pair, which has no negative, is skipped
+    val_chunks = [range(s, min(s + bs, n_val)) for s in range(0, n_val - 1, bs)]
 
     def batches(epoch):
         order = stream_rng(run.seed, _STREAM_ORDER["contrastive"], epoch).permutation(len(pairs))
@@ -635,14 +637,13 @@ def train_contrastive(
         return [order[i : i + bs] for i in range(0, len(pairs) - 1, bs)]
 
     def step_loss(ids, step, count):
-        a = [anchor_seqs[j] for j in ids]
-        pos = [positive_seqs[j] for j in ids]
-        ae = encode_pooled(params, run, a, count=count)
-        pe = encode_pooled(params, run, pos, count=count)
-        return supcon_loss(ae, pe, [pairs[j].label_key for j in ids], tau=run.supcon_tau)
+        return _supcon_step_loss(params, run, encoded, ids, count)
 
     def validate():
-        return {"val_loss": _supcon_val_loss(params, run, val_pairs, vocab)}
+        view = frozen(params)
+        return {
+            "val_loss": _chunk_mean(val_chunks, lambda c: _supcon_step_loss(view, run, val_encoded, c, None))
+        }
 
     return _train_stage(
         "contrastive", run, vocab, params, len(pairs), batches, step_loss, validate,

@@ -145,6 +145,21 @@ def test_train_mntp_with_init_fails(workdir, capsys):
     assert not (workdir / "mntp_with_init").exists()
 
 
+def test_train_refused_config_is_usage_error(workdir, tmp_path, capsys):
+    """A config that `RunConfig` refuses, from the file or from --seed,
+    ends in its message and exit code 2, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, "layers": 2.5}))
+    for extra, field in ((["--config", str(bad)], "layers"), (["--seed", "-1"], "seed")):
+        rc = main([
+            "train", "mntp", "--corpus", str(workdir / "corpus.jsonl"), *extra,
+            "--out", str(tmp_path / "refused"),
+        ])
+        assert rc == 2
+        assert f"RunConfig.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
 def test_train_outputs_run_directory(workdir):
     for stage_dir in ("s1", "s2", "s3"):
         d = workdir / stage_dir

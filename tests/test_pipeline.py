@@ -102,6 +102,11 @@ def test_default_config_digest_is_pinned():
         *({name: 0} for name in (
             "layers", "model_dim", "heads", "ffn_dim", "max_len", "shared_dim", "supcon_tau", "lora_rank",
         )),
+        {"layers": 2.5},
+        {"layers": "2"},
+        {"mask_prob": None},
+        {"section_aware": 1},
+        {"seed": -1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -111,6 +116,22 @@ def test_config_rejects_bad_values(kwargs):
         RunConfig(**kwargs)
     with pytest.raises(ValueError):
         RunConfig.from_json(json.dumps({**json.loads(RunConfig().to_json()), **kwargs}))
+
+
+def test_config_document_must_be_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        RunConfig.from_json("[]")
+
+
+def test_config_int_for_float_kept_as_given():
+    """An int in a float field is accepted and not coerced, so a
+    hand-written config keeps the digest its run directories carry."""
+    text = json.dumps({**json.loads(RunConfig().to_json()), "lr_text": 1})
+    run = RunConfig.from_json(text)
+    assert type(run.lr_text) is int
+    again = RunConfig.from_json(run.to_json())
+    assert again == run
+    assert again.digest() == run.digest() == RunConfig(lr_text=1).digest()
 
 
 # ---------------------------------------------------------------------------
