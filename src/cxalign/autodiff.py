@@ -15,6 +15,16 @@ with the unfused primitives (`softmax`, `rotary`, `layer_norm`) and gives
 their results bit for bit. A primitive none of whose inputs requires a
 gradient records nothing, so a forward over `towers.frozen` views builds no
 graph.
+
+`backward` frees the graph as it runs. Once an interior node's backward
+function has run, the node drops its gradient, its backward closure (and
+with it every forward array the closure saved) and its links to its
+parents, and the walk drops its own reference to it. So an activation
+lives only until the gradient has passed through it, and training peaks at
+about one step's forward plus the gradients in flight, not at the whole
+graph with every interior gradient. Leaves, and any node passed in
+`leaves`, keep their gradients. A graph can be differentiated once: a
+later `backward` that reaches a released node raises `GraphReleasedError`.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
+    "GraphReleasedError",
     "tensor",
     "add",
     "mul",
@@ -61,6 +72,11 @@ class NonFiniteError(ValueError):
     """Raised when a primitive receives NaN or infinite input."""
 
 
+class GraphReleasedError(RuntimeError):
+    """Raised when `backward` reaches a node whose graph an earlier
+    `backward` already released."""
+
+
 def _check_finite(a: np.ndarray, what: str) -> None:
     # min+max reductions instead of isfinite().all(): no bool temporary, and
     # any NaN/inf propagates into the sum
@@ -69,7 +85,10 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 
 class Tensor:
-    """Dense float32 array node in the computation graph."""
+    """Dense float32 array node in the computation graph.
+
+    A leaf has no parents (`_parents == ()`) and no backward function. An
+    interior node that `backward` has released has `_parents is None`."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
@@ -360,13 +379,14 @@ _GELU_A = np.float32(0.044715)
 def gelu(a) -> Tensor:
     """tanh approximation of GELU, 0.5 x (1 + tanh(c (x + a x^3))).
 
-    Computed in place on two forward arrays (x^2 and the tanh, both kept
-    for backward) and two backward arrays; x*x rather than x**3, because
-    float32 pow is unvectorized and ~8x slower."""
+    Computed in place on two forward arrays and two backward arrays; x*x
+    rather than x**3, because float32 pow is unvectorized and ~8x slower.
+    Backward keeps only the tanh and recomputes x^2, which gives the same
+    bits as keeping it."""
     a = _as_tensor(a)
     x = a.data
-    x2 = x * x
-    t = x2 * _GELU_A
+    t = x * x
+    t *= _GELU_A
     t += 1.0
     t *= x
     t *= _GELU_C
@@ -377,7 +397,8 @@ def gelu(a) -> Tensor:
 
     def bwd(g):
         # d/dx = 0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2))
-        d = x2 * (3 * _GELU_A * _GELU_C)
+        d = x * x
+        d *= 3 * _GELU_A * _GELU_C
         d += _GELU_C
         d *= x
         s = t * t
@@ -555,7 +576,9 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 def backward(root: Tensor, leaves=None) -> dict:
-    """Accumulate gradients of a scalar root into every reachable node.
+    """Accumulate gradients of a scalar root into every reachable leaf,
+    releasing each interior node once its backward function has run (see
+    the module docstring).
 
     Returns a mapping from leaf to gradient array when `leaves` is given;
     leaves the root never touched get zeros.
@@ -572,19 +595,26 @@ def backward(root: Tensor, leaves=None) -> dict:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise GraphReleasedError("backward: the graph was released by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    keep = {id(leaf) for leaf in leaves} if leaves is not None else set()
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._bwd is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._bwd is None:
             continue
-        grads = node._bwd(node.grad)
-        for p, g in zip(node._parents, grads):
-            if p.requires_grad and g is not None:
-                p._accumulate(g)
+        if node.grad is not None:
+            for p, g in zip(node._parents, node._bwd(node.grad)):
+                if p.requires_grad and g is not None:
+                    p._accumulate(g)
+        if id(node) not in keep:
+            node.grad = None
+        node._bwd = node._parents = None
     if leaves is None:
         return {}
     out = {}

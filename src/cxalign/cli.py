@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import sys
 import time
 
@@ -64,7 +63,7 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
     done (studies written, steps trained, items embedded or evaluated)."""
     import numpy
 
-    from . import __version__
+    from . import __version__, peak_rss_mb
 
     manifest = {
         "command": command,
@@ -82,8 +81,7 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
         },
         "inputs": {str(p): _sha256_file(p) for p in inputs},
         "wall_s": round(time.perf_counter() - args["_started"], 3),
-        # the process's peak so far; Linux reports ru_maxrss in KiB
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": peak_rss_mb(),
         **(counts or {}),
     }
     path = str(out_path) + ".manifest.json"
@@ -136,12 +134,13 @@ def cmd_train(args) -> int:
     if args.stage == "clip" and not args.init:
         print("train clip: --init (stage-2 run directory) is required", file=sys.stderr)
         return 2
+    # a missing or unreadable input, or a refused config, is a usage error
     try:
         run = _load_config(args.config, args.seed)
-    except ValueError as e:
+        studies = read_corpus(args.corpus)
+    except (OSError, ValueError) as e:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
-    studies = read_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "log.jsonl")
     init = load_stage(args.init) if args.init else None

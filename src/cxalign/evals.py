@@ -42,8 +42,10 @@ class EmbeddingIndex:
             raise ValueError("EmbeddingIndex: id count != row count")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("EmbeddingIndex: duplicate ids")
+        # np.allclose's atol + rtol at 1.0, without its per-call cost; a NaN
+        # norm fails the comparison
         norms = np.linalg.norm(self.matrix, axis=1)
-        if self.matrix.size and not np.allclose(norms, 1.0, atol=1e-5):
+        if self.matrix.size and not (np.abs(norms - 1.0) <= 2e-5).all():
             raise ValueError("EmbeddingIndex: rows must be unit-norm")
         self.id_rank = np.argsort(np.argsort(self.ids))
 

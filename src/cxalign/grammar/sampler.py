@@ -15,6 +15,7 @@ import numpy as np
 
 from .types import (
     KINDS,
+    MAX_FINDINGS,
     SEVERITIES,
     ZONE_LOCATIONS,
     LatentFinding,
@@ -23,7 +24,6 @@ from .types import (
 )
 
 NORMAL_PROB = 0.25
-MAX_FINDINGS = 5
 NEGATED_PROB = 0.2
 TEMPORAL_PROB = 0.4
 KIND_PROBS = np.full(len(KINDS), 1 / len(KINDS))

@@ -26,6 +26,8 @@ ZONE_LOCATIONS = tuple(f"{s} {r}" for s in SIDES for r in ROWS)
 LOCATIONS = ZONE_LOCATIONS + ("cardiac", "none")
 SEVERITIES = ("mild", "moderate", "severe")
 TEMPORALS = ("none", "new", "stable", "improved", "worsened")
+# the most findings a study holds; the sampler draws 1 to MAX_FINDINGS
+MAX_FINDINGS = 5
 
 # nodule size in millimetres encodes severity; band edges are the oracle
 NODULE_MM = {"mild": 4, "moderate": 8, "severe": 15}
@@ -89,8 +91,8 @@ class LatentStudy:
         pairs = [(f.kind, f.location) for f in self.findings]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate (kind, location) pair in study")
-        if len(self.findings) > 5:
-            raise ValueError("at most 5 findings per study")
+        if len(self.findings) > MAX_FINDINGS:
+            raise ValueError(f"at most {MAX_FINDINGS} findings per study")
 
     @property
     def is_normal(self) -> bool:

@@ -14,6 +14,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import peak_rss_mb
 from .autodiff import Tensor, add, backward, concat, l2_normalize, linear, scale, take_rows
 from .checkpoint import params_to_arrays, save_checkpoint
 from .objectives import (
@@ -473,7 +474,9 @@ def _train_stage(
                 val = validate()
                 _check_loss_finite(val["val_loss"], stage, step, result, ckpt_path)
                 epoch_s = time.perf_counter() - epoch_start
-                log.write(stage=stage, epoch=epoch, **val, epoch_s=epoch_s)
+                log.write(
+                    stage=stage, epoch=epoch, **val, epoch_s=epoch_s, peak_rss_mb=peak_rss_mb(),
+                )
         if ckpt_path is not None:
             result.save(ckpt_path)
         return result

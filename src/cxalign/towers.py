@@ -39,7 +39,7 @@ from .autodiff import (
     transpose,
 )
 from .grammar.image import CANVAS
-from .tokenizer import PAD, SECTION_FINDINGS, SECTION_IMPRESSION, BOS, EOS
+from .tokenizer import PAD, SECTION_FINDINGS, SECTION_IMPRESSION, BOS, EOS, UNK
 
 NEG_INF = -1e9
 
@@ -251,10 +251,15 @@ def text_forward(params: dict, run, ids: np.ndarray) -> Tensor:
     return _blocks(params, "text", x, bias, run.heads, rope=True)
 
 
+# whether each reserved id 0..UNK may be pooled; every id above UNK is a word
+_RESERVED_ELIGIBLE = ~np.isin(
+    np.arange(UNK + 1), (PAD, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION)
+)
+
+
 def eligible_mask(ids: np.ndarray, instruction_spans) -> np.ndarray:
     """Positions that may contribute to pooling: content tokens only."""
-    ids = np.asarray(ids)
-    elig = ~np.isin(ids, (PAD, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION))
+    elig = _RESERVED_ELIGIBLE[np.minimum(ids, UNK)]
     for b, (lo, hi) in enumerate(instruction_spans):
         elig[b, lo:hi] = False
     return elig

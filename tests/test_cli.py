@@ -160,6 +160,25 @@ def test_train_refused_config_is_usage_error(workdir, tmp_path, capsys):
     assert not (tmp_path / "refused").exists()
 
 
+def test_train_missing_config_is_usage_error(workdir, tmp_path, capsys):
+    missing = tmp_path / "no-such-config.json"
+    rc = main([
+        "train", "mntp", "--corpus", str(workdir / "corpus.jsonl"),
+        "--config", str(missing), "--out", str(tmp_path / "refused"),
+    ])
+    assert rc == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
+def test_train_missing_corpus_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-corpus.jsonl"
+    rc = main(["train", "mntp", "--corpus", str(missing), "--out", str(tmp_path / "refused")])
+    assert rc == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
 def test_train_outputs_run_directory(workdir):
     for stage_dir in ("s1", "s2", "s3"):
         d = workdir / stage_dir

@@ -60,6 +60,14 @@ def test_index_validates_rows():
         EmbeddingIndex(["a"], _unit([[1, 0], [0, 1]]))
 
 
+def test_index_unit_norm_tolerance():
+    """Rows pass within np.allclose's tolerance at 1.0 (2e-5); NaN fails."""
+    EmbeddingIndex(["a"], np.array([[1 + 1e-5, 0.0]], dtype=np.float32))
+    for bad in (1 + 3e-5, np.nan):
+        with pytest.raises(ValueError, match="unit-norm"):
+            EmbeddingIndex(["a"], np.array([[bad, 0.0]], dtype=np.float32))
+
+
 def test_retrieve_topk_hand_case():
     pool = EmbeddingIndex(["p0", "p1", "p2"], _unit([[1, 0], [0, 1], [1, 1]]))
     q = EmbeddingIndex(["q"], _unit([[1, 0.1]]))

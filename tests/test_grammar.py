@@ -24,7 +24,7 @@ from cxalign.grammar.render import (
     render_impression,
     render_report,
 )
-from cxalign.grammar.sampler import sample_latent_study
+from cxalign.grammar.sampler import MAX_FINDINGS, sample_latent_study
 from cxalign.grammar.types import (
     KINDS,
     LatentFinding,
@@ -60,6 +60,17 @@ def test_sampler_determinism():
     a = sample_latent_study(np.random.default_rng([1, 2]), "s0", 1)
     b = sample_latent_study(np.random.default_rng([1, 2]), "s0", 1)
     assert a == b
+
+
+def test_study_holds_at_most_the_sampled_findings():
+    # the type and the sampler read one limit, so every sampled study loads
+    findings = tuple(
+        LatentFinding(k, fixed_location(k) or "right lower", "mild", False, "none")
+        for k in KINDS[: MAX_FINDINGS + 1]
+    )
+    assert len(LatentStudy("s0", 1, findings[:MAX_FINDINGS]).findings) == MAX_FINDINGS
+    with pytest.raises(ValueError, match=f"at most {MAX_FINDINGS}"):
+        LatentStudy("s0", 1, findings)
 
 
 def test_default_corpus_digest_is_pinned(tmp_path):

@@ -595,7 +595,8 @@ def test_loaded_clip_optimizer_has_the_training_groups(corpus, tmp_path):
 
 def test_step_records_time_and_gradient_norm(corpus, monkeypatch):
     """Every stage's step records carry a positive `step_s` and the global
-    norm of the gradients the optimizer applied; epoch records `epoch_s`."""
+    norm of the gradients the optimizer applied; epoch records `epoch_s`
+    and the process's peak memory so far, which never falls."""
     norms, optimizer_step = [], AdamW.step
 
     def spy_step(self, params):
@@ -618,3 +619,6 @@ def test_step_records_time_and_gradient_norm(corpus, monkeypatch):
     epochs = [r for r in records if "val_loss" in r]
     assert len(epochs) == 3
     assert all(math.isfinite(r["epoch_s"]) and r["epoch_s"] > 0 for r in epochs)
+    peaks = [r["peak_rss_mb"] for r in epochs]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+    assert not any("peak_rss_mb" in r for r in steps)

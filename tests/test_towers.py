@@ -278,6 +278,21 @@ def test_project_orthogonality_through_identity(rng):
     assert abs(out[0] @ out[1]) < 1e-6
 
 
+def test_eligible_mask_matches_isin_definition():
+    """The reserved-id table gives np.isin's mask for every id of a corpus
+    vocabulary, MASK and UNK included, and instruction spans stay out."""
+    from cxalign.grammar.corpus import generate_corpus
+    from cxalign.pipeline import corpus_vocab
+    from cxalign.tokenizer import MASK, SECTION_FINDINGS, SECTION_IMPRESSION
+
+    ids = np.arange(len(corpus_vocab(generate_corpus(20, seed=3))))[None, :]
+    expected = ~np.isin(ids, (PAD, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION))
+    np.testing.assert_array_equal(tw.eligible_mask(ids, [(0, 0)]), expected)
+    assert tw.eligible_mask(ids, [(0, 0)])[0, MASK]
+    expected[0, 7:9] = False
+    np.testing.assert_array_equal(tw.eligible_mask(ids, [(7, 9)]), expected)
+
+
 # ---------------------------------------------------------------------------
 # Frozen views
 # ---------------------------------------------------------------------------
