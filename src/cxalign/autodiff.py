@@ -1,30 +1,36 @@
 """Reverse-mode autodiff over dense float32 numpy arrays.
 
-A Tensor wraps an ndarray and remembers the primitive application that
-produced it; `backward(root)` replays the graph in reverse topological
-order. Tensors have no operators: every op is a primitive called by name.
-The primitive set is fixed: matmul, add, mul, scale, a fused affine map
-(linear), softmax, layer norm, rotary positions, embedding lookup, GELU,
-exp, an upper clamp (`minimum_const`), row L2 normalization, cross entropy
-from logits, a sum of all elements, plus shape plumbing (reshape,
-transpose, concat, row gather). Two fused
+A Tensor holds a forward array and, when it requires a gradient, a graph
+`Node`: the node holds the gradient, its parents' nodes and the backward
+function of the primitive application that produced it. `backward(root)`
+replays the nodes in reverse topological order. Tensors have no operators:
+every op is a primitive called by name. The primitive set is fixed: matmul,
+add, mul, scale, a fused affine map (linear), softmax, layer norm, rotary
+positions, embedding lookup, GELU, exp, an upper clamp (`minimum_const`),
+row L2 normalization, cross entropy from logits, a sum of all elements,
+plus shape plumbing (reshape, transpose, concat, row gather). Three fused
 primitives carry a transformer block in a few nodes: `attention` (head
-split, rotary, scaled and biased softmax, context product and head merge)
-and `affine_layer_norm` (layer norm, gain and shift). Each shares its math
-with the unfused primitives (`softmax`, `rotary`, `layer_norm`) and gives
-their results bit for bit. A primitive none of whose inputs requires a
-gradient records nothing, so a forward over `towers.frozen` views builds no
-graph.
+split, rotary, scaled and biased softmax, context product and head merge),
+`affine_layer_norm` (layer norm, gain and shift) and `ffn` (linear, GELU,
+linear). Each shares its math with the unfused primitives and gives their
+results bit for bit. A primitive none of whose inputs requires a gradient
+records nothing, so a forward over `towers.frozen` views builds no graph.
+
+Saved arrays. A backward function holds only the arrays its backward reads
+(an operand's values only when the other operand needs a gradient), plus
+shapes and flags, and never a Tensor. So a forward output that no backward
+function saved, such as the residual stream, a branch output or the
+un-rotated queries and keys, is freed as soon as the caller drops it.
 
 `backward` frees the graph as it runs. Once an interior node's backward
-function has run, the node drops its gradient, its backward closure (and
-with it every forward array the closure saved) and its links to its
-parents, and the walk drops its own reference to it. So an activation
-lives only until the gradient has passed through it, and training peaks at
-about one step's forward plus the gradients in flight, not at the whole
-graph with every interior gradient. Leaves, and any node passed in
-`leaves`, keep their gradients. A graph can be differentiated once: a
-later `backward` that reaches a released node raises `GraphReleasedError`.
+function has run, the node drops its gradient, its backward function (and
+with it every array that function saved) and its links to its parents,
+and the walk drops its own reference to it. So an activation lives only
+until the gradient has passed through it, and training peaks at about one
+step's saved arrays plus the gradients in flight. Leaves, and any tensor
+passed in `leaves`, keep their gradients. A graph can be differentiated
+once: a later `backward` that reaches a released node raises
+`GraphReleasedError`.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Node",
     "ShapeError",
     "NonFiniteError",
     "GraphReleasedError",
@@ -53,6 +60,7 @@ __all__ = [
     "layer_norm",
     "affine_layer_norm",
     "attention",
+    "ffn",
     "gelu",
     "rotary",
     "exp",
@@ -84,24 +92,17 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite values in {what}")
 
 
-class Tensor:
-    """Dense float32 array node in the computation graph.
+class Node:
+    """The graph side of a tensor: its gradient, its parents' nodes and its
+    backward function. A leaf node has `parents == ()` and no backward
+    function; a node that `backward` has released has `parents is None`."""
 
-    A leaf has no parents (`_parents == ()`) and no backward function. An
-    interior node that `backward` has released has `_parents is None`."""
+    __slots__ = ("grad", "parents", "bwd")
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
-
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _bwd=None):
-        self.data = np.asarray(data, dtype=np.float32)
+    def __init__(self, parents=(), bwd=None):
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._bwd = _bwd
-
-    @property
-    def shape(self):
-        return self.data.shape
+        self.parents = parents
+        self.bwd = bwd
 
     def _accumulate(self, g: np.ndarray) -> None:
         # never in place: a backward function may hand the same array to
@@ -110,6 +111,43 @@ class Tensor:
             self.grad = np.asarray(g, dtype=np.float32)
         else:
             self.grad = (self.grad + g).astype(np.float32, copy=False)
+
+
+class Tensor:
+    """A dense float32 array, and its graph node when it requires a
+    gradient (`node is None` otherwise)."""
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float32)
+        self.node = Node() if requires_grad else None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if not value:
+            self.node = None
+        elif self.node is None:
+            self.node = Node()
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise ValueError("a tensor that requires no gradient holds none")
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -128,10 +166,14 @@ def _as_tensor(x) -> Tensor:
 
 
 def _track(out: np.ndarray, parents, bwd) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    if needs:
-        return Tensor(out, requires_grad=True, _parents=tuple(parents), _bwd=bwd)
-    return Tensor(out)
+    """`out` as a Tensor, with a node when some parent requires a gradient.
+    `bwd(g)` returns one gradient (or None) per parent; it must hold only
+    the arrays, shapes and flags it reads, never a Tensor, so that an output
+    no backward function saved dies with the caller's last reference."""
+    t = Tensor(out)
+    if any(p.node is not None for p in parents):
+        t.node = Node(tuple(p.node for p in parents), bwd)
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -150,11 +192,13 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError as e:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} incompatible") from e
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def bwd(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            _unbroadcast(g, sa) if sa is not None else None,
+            _unbroadcast(g, sb) if sb is not None else None,
         )
 
     return _track(out, (a, b), bwd)
@@ -166,11 +210,15 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError as e:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} incompatible") from e
+    sa, sb = a.shape, b.shape
+    # each operand's gradient reads the other operand
+    bv = b.data if a.requires_grad else None
+    av = a.data if b.requires_grad else None
 
     def bwd(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            _unbroadcast(g * bv, sa) if bv is not None else None,
+            _unbroadcast(g * av, sb) if av is not None else None,
         )
 
     return _track(out, (a, b), bwd)
@@ -194,12 +242,16 @@ def matmul(a, b) -> Tensor:
     _check_finite(a.data, "matmul lhs")
     _check_finite(b.data, "matmul rhs")
     out = a.data @ b.data
+    sa, sb = a.shape, b.shape
+    # a frozen or constant operand gets no gradient, and its partner's
+    # values are not kept: in stage 3 that skips every weight gradient of
+    # the frozen text base
+    bv = b.data if a.requires_grad else None
+    av = a.data if b.requires_grad else None
 
-    # a frozen or constant operand gets no gradient: in stage 3 that skips
-    # every weight gradient of the frozen text base
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), sa) if bv is not None else None
+        gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, sb) if av is not None else None
         return ga, gb
 
     return _track(out, (a, b), bwd)
@@ -221,23 +273,27 @@ def linear(x, w, b) -> Tensor:
     rows = x.data.reshape(-1, k)
     out = rows @ w.data
     out += b.data
+    x_shape, need_b = x.shape, b.requires_grad
+    wv = w.data if x.requires_grad else None
+    xv = rows if w.requires_grad else None
 
     def bwd(g):
         g = g.reshape(-1, n)
-        gx = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = rows.T @ g if w.requires_grad else None
-        gb = g.sum(axis=0) if b.requires_grad else None
+        gx = (g @ wv.T).reshape(x_shape) if wv is not None else None
+        gw = xv.T @ g if xv is not None else None
+        gb = g.sum(axis=0) if need_b else None
         return gx, gw, gb
 
-    return _track(out.reshape(x.shape[:-1] + (n,)), (x, w, b), bwd)
+    return _track(out.reshape(x_shape[:-1] + (n,)), (x, w, b), bwd)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
+    sa = a.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(sa),)
 
     return _track(out, (a,), bwd)
 
@@ -272,9 +328,10 @@ def take_rows(a, idx) -> Tensor:
         raise ShapeError(f"take_rows: expected 2-D input, got {a.shape}")
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
+    sa = a.shape
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(sa, dtype=np.float32)
         np.add.at(ga, idx, g)
         return (ga,)
 
@@ -285,9 +342,10 @@ def sum_(a) -> Tensor:
     """Sum of every element, as a scalar."""
     a = _as_tensor(a)
     out = a.data.sum()
+    sa = a.shape
 
     def bwd(g):
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, sa),)
 
     return _track(np.asarray(out, dtype=np.float32), (a,), bwd)
 
@@ -362,11 +420,14 @@ def affine_layer_norm(a, gain, shift) -> Tensor:
     norm, inv = _normalize(a.data)
     out = norm * gain.data
     out += shift.data
+    sg, ss = gain.shape, shift.shape
+    need_gain, need_shift = gain.requires_grad, shift.requires_grad
+    gv = gain.data if a.requires_grad else None
 
     def bwd(g):
-        ga = _normalize_grad(norm, inv, g * gain.data) if a.requires_grad else None
-        gg = _unbroadcast(g * norm, gain.shape) if gain.requires_grad else None
-        gs = _unbroadcast(g, shift.shape) if shift.requires_grad else None
+        ga = _normalize_grad(norm, inv, g * gv) if gv is not None else None
+        gg = _unbroadcast(g * norm, sg) if need_gain else None
+        gs = _unbroadcast(g, ss) if need_shift else None
         return ga, gg, gs
 
     return _track(out, (a, gain, shift), bwd)
@@ -376,41 +437,103 @@ _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_A = np.float32(0.044715)
 
 
-def gelu(a) -> Tensor:
-    """tanh approximation of GELU, 0.5 x (1 + tanh(c (x + a x^3))).
-
-    Computed in place on two forward arrays and two backward arrays; x*x
-    rather than x**3, because float32 pow is unvectorized and ~8x slower.
-    Backward keeps only the tanh and recomputes x^2, which gives the same
-    bits as keeping it."""
-    a = _as_tensor(a)
-    x = a.data
+# GELU is computed in place on a few arrays, with x*x rather than x**3,
+# because float32 pow is unvectorized and ~8x slower. Backward keeps x and
+# the tanh and recomputes x^2, which gives the same bits as keeping it.
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c (x + a x^3))."""
     t = x * x
     t *= _GELU_A
     t += 1.0
     t *= x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
+
+
+def _gelu_from_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 x (1 + t), for t = `_gelu_tanh(x)`."""
     out = t + 1.0
     out *= x
     out *= 0.5
+    return out
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # d/dx = 0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2))
+    d = x * x
+    d *= 3 * _GELU_A * _GELU_C
+    d += _GELU_C
+    d *= x
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    d *= s
+    d += t
+    d += 1.0
+    d *= 0.5
+    d *= g
+    return d
+
+
+def gelu(a) -> Tensor:
+    """tanh approximation of GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
+    a = _as_tensor(a)
+    x = a.data
+    t = _gelu_tanh(x)
 
     def bwd(g):
-        # d/dx = 0.5 (1 + t + x (1 - t^2) c (1 + 3 a x^2))
-        d = x * x
-        d *= 3 * _GELU_A * _GELU_C
-        d += _GELU_C
-        d *= x
-        s = t * t
-        np.subtract(1.0, s, out=s)
-        d *= s
-        d += t
-        d += 1.0
-        d *= 0.5
-        d *= g
-        return (d,)
+        return (_gelu_grad(x, t, g),)
 
-    return _track(out, (a,), bwd)
+    return _track(_gelu_from_tanh(x, t), (a,), bwd)
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """`linear(gelu(linear(x, w1, b1)), w2, b2)` as one node, bit for bit.
+
+    Backward keeps x, the pre-activation and its tanh, and recomputes the
+    activation for w2's gradient with the forward's own ops; a frozen
+    operand gets no gradient."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (
+        w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.ndim < 1
+        or x.shape[-1] != w1.shape[0] or b1.shape != w1.shape[1:]
+        or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]
+    ):
+        raise ShapeError(
+            f"ffn: shapes {x.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape} incompatible"
+        )
+    _check_finite(x.data, "linear lhs")
+    _check_finite(w1.data, "linear rhs")
+    k, n = w1.shape[0], w2.shape[1]
+    rows = x.data.reshape(-1, k)
+    pre = rows @ w1.data
+    pre += b1.data
+    t = _gelu_tanh(pre)
+    act = _gelu_from_tanh(pre, t)
+    _check_finite(act, "linear lhs")
+    _check_finite(w2.data, "linear rhs")
+    out = act @ w2.data
+    out += b2.data
+    x_shape = x.shape
+    need_b1, need_w2, need_b2 = b1.requires_grad, w2.requires_grad, b2.requires_grad
+    need_h = x.requires_grad or w1.requires_grad or need_b1
+    w1v = w1.data if x.requires_grad else None
+    xv = rows if w1.requires_grad else None
+    w2v = w2.data if need_h else None
+
+    def bwd(g):
+        g = g.reshape(-1, n)
+        gx = gw1 = gb1 = None
+        gw2 = _gelu_from_tanh(pre, t).T @ g if need_w2 else None
+        gb2 = g.sum(axis=0) if need_b2 else None
+        if need_h:
+            gh = _gelu_grad(pre, t, g @ w2v.T)
+            gx = (gh @ w1v.T).reshape(x_shape) if w1v is not None else None
+            gw1 = xv.T @ gh if xv is not None else None
+            gb1 = gh.sum(axis=0) if need_b1 else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _track(out.reshape(x_shape[:-1] + (n,)), (x, w1, b1, w2, b2), bwd)
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -472,17 +595,18 @@ def attention(q, k, v, heads: int, cos=None, sin=None, bias=None) -> Tensor:
         scores += bias
     probs = _softmax_rows(scores)
     out = merge(probs @ vh)
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def bwd(g):
         g = split(g)
         dq = dk = dv = None
-        if q.requires_grad or k.requires_grad:
+        if need_q or need_k:
             gs = _softmax_grad(probs, g @ np.swapaxes(vh, -1, -2)) * c
-            if q.requires_grad:
+            if need_q:
                 dq = merge(unrotate(gs @ kh))
-            if k.requires_grad:
+            if need_k:
                 dk = merge(unrotate(np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2))))
-        if v.requires_grad:
+        if need_v:
             dv = merge(np.swapaxes(probs, -1, -2) @ g)
         return dq, dk, dv
 
@@ -534,10 +658,11 @@ def embedding(table, ids) -> Tensor:
             f"embedding: id out of range for table with {table.shape[0]} rows"
         )
     out = table.data[ids]
+    st = table.shape
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        gt = np.zeros(st, dtype=np.float32)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, st[1]))
         return (gt,)
 
     return _track(out, (table,), bwd)
@@ -585,41 +710,45 @@ def backward(root: Tensor, leaves=None) -> dict:
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        if node._parents is None:
-            raise GraphReleasedError("backward: the graph was released by an earlier backward")
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    keep = {id(leaf) for leaf in leaves} if leaves is not None else set()
-    root.grad = np.ones_like(root.data)
+    topo: list[Node] = []
+    if root.node is not None:
+        seen: set[int] = set()
+        stack = [(root.node, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            if node.parents is None:
+                raise GraphReleasedError("backward: the graph was released by an earlier backward")
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
+        root.node.grad = np.ones_like(root.data)
+    keep = {id(leaf.node) for leaf in leaves} if leaves is not None else set()
     while topo:
         node = topo.pop()
-        if node._bwd is None:
+        if node.bwd is None:
             continue
         if node.grad is not None:
-            for p, g in zip(node._parents, node._bwd(node.grad)):
-                if p.requires_grad and g is not None:
+            for p, g in zip(node.parents, node.bwd(node.grad)):
+                if p is not None and g is not None:
                     p._accumulate(g)
         if id(node) not in keep:
             node.grad = None
-        node._bwd = node._parents = None
+        node.bwd = node.parents = None
     if leaves is None:
         return {}
     out = {}
     for leaf in leaves:
-        if leaf.grad is None:
-            leaf.grad = np.zeros_like(leaf.data)
-        out[id(leaf)] = leaf.grad
+        if leaf.node is None:
+            out[id(leaf)] = np.zeros_like(leaf.data)
+            continue
+        if leaf.node.grad is None:
+            leaf.node.grad = np.zeros_like(leaf.data)
+        out[id(leaf)] = leaf.node.grad
     return out

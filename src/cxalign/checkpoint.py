@@ -4,6 +4,7 @@ bit-exact."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -61,8 +62,24 @@ def _read_str(fh) -> str:
     return _read(fh, n).decode("utf-8")
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", encoding: str | None = None):
+    """A file open for writing on a temp file beside `path`, which replaces
+    `path` in one `os.replace` when the block ends. A write that fails
+    leaves `path` as it was and removes the temp file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, stage: str, step: int, config_digest: str, arrays: dict) -> None:
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         _write_str(fh, stage)

@@ -39,15 +39,18 @@ _KIND_KEYWORDS = tuple(
     )
 )
 
-# the renderer's severity words, mildest first: (word, severity) pairs
-_SEVERITY_WORDS = tuple(
-    dict.fromkeys(
+# the renderer's severity words, mildest first, each as a whole-word
+# pattern: (pattern, severity) pairs
+_SEVERITY_PATTERNS = tuple(
+    (re.compile(rf"\b{word}\b"), sev)
+    for word, sev in dict.fromkeys(
         (word, sev)
         for sev in SEVERITIES
         for word in (SEV_ADVERBS[sev], *SEV_WORDS[sev], GRANULOMA_SEV[sev])
     )
 )
 
+_NO_RE = re.compile(r"\bno\b")
 _TEMPORAL_RE = re.compile(r"\b(new|stable|improved|worsened)\b")
 _BILATERAL_RE = re.compile(r"\bbilateral (upper|mid|lower) lung")
 _ZONE_RE = re.compile(r"\b(right|left) (upper|mid|lower) lung")
@@ -93,7 +96,7 @@ def _severity_from_mm(mm: int) -> str:
 def _parse_clause(clause: str):
     """One clause -> list of label tuples (bilateral yields two)."""
     negated = bool(
-        re.search(r"\bno\b", clause)
+        _NO_RE.search(clause)
         or "within normal limits" in clause
         or "normal in size" in clause
     )
@@ -126,8 +129,8 @@ def _parse_clause(clause: str):
         severity = "mild"
     else:
         severity = None
-        for word, sev in _SEVERITY_WORDS:
-            if re.search(rf"\b{word}\b", clause):
+        for pattern, sev in _SEVERITY_PATTERNS:
+            if pattern.search(clause):
                 severity = sev
                 break
         if severity is None:

@@ -33,28 +33,34 @@ def _validate(lexicon: dict) -> None:
 _validate(DEFAULT_LEXICON)
 
 
+def _word_patterns(pairs) -> tuple:
+    """(compiled pattern, replacement) per (word, replacement) pair, in
+    order: the word as a whole token, case-insensitive."""
+    return tuple(
+        (re.compile(rf"(?<![a-zA-Z0-9]){re.escape(word)}(?![a-zA-Z0-9])", re.IGNORECASE), repl)
+        for word, repl in pairs
+    )
+
+
+# longest first, so a shorthand or expansion that holds another is replaced whole
+_EXPAND = _word_patterns(sorted(DEFAULT_LEXICON.items(), key=lambda kv: -len(kv[0])))
+_CONTRACT = _word_patterns(
+    (expansion, key)
+    for key, expansion in sorted(DEFAULT_LEXICON.items(), key=lambda kv: -len(kv[1]))
+)
+
+
+def _replace_all(text: str, patterns) -> str:
+    for pattern, repl in patterns:
+        text = pattern.sub(repl, text)
+    return text
+
+
 def expand_acronyms(text: str) -> str:
     """Replace every shorthand with its expansion, one pass, case-insensitive."""
-    out = text
-    for key, expansion in sorted(DEFAULT_LEXICON.items(), key=lambda kv: -len(kv[0])):
-        out = re.sub(
-            rf"(?<![a-zA-Z0-9]){re.escape(key)}(?![a-zA-Z0-9])",
-            expansion,
-            out,
-            flags=re.IGNORECASE,
-        )
-    return out
+    return _replace_all(text, _EXPAND)
 
 
 def contract_acronyms(text: str) -> str:
     """Reverse lookup: replace expansions with their shorthand."""
-    out = text
-    for key, expansion in sorted(DEFAULT_LEXICON.items(), key=lambda kv: -len(kv[1])):
-        out = re.sub(
-            rf"(?<![a-zA-Z0-9]){re.escape(expansion)}(?![a-zA-Z0-9])",
-            key,
-            out,
-            flags=re.IGNORECASE,
-        )
-    return out
-
+    return _replace_all(text, _CONTRACT)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import peak_rss_mb
 from .autodiff import Tensor, add, backward, concat, l2_normalize, linear, scale, take_rows
-from .checkpoint import params_to_arrays, save_checkpoint
+from .checkpoint import params_to_arrays, replacing, save_checkpoint
 from .objectives import (
     INSTR_IMAGE,
     build_contrastive_pairs,
@@ -297,7 +297,7 @@ def save_stage(result: StageResult, dirpath) -> None:
     """Persist a stage result as a run directory: config, vocabulary,
     checkpoint with optimizer state."""
     os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "config.json"), "w") as fh:
+    with replacing(os.path.join(dirpath, "config.json"), "w") as fh:
         fh.write(result.config.to_json() + "\n")
     result.vocab.save(os.path.join(dirpath, "vocab.txt"))
     result.save(os.path.join(dirpath, "model.cxal"))
@@ -421,11 +421,14 @@ def _train_stage(
 ) -> StageResult:
     """The training loop of every stage. The stage supplies its parameters,
     its number of training items, `batches(epoch)`, `step_loss(batch, step,
-    count)` giving a batch's loss Tensor, and `validate()` giving
-    {"val_loss": ..., ...}; its trainable set, learning rates, epochs and
-    batch size follow from `stage` and `run`. The cosine schedule spans
-    epochs × ceil(n_items / batch) steps, batches a stage skips included.
-    `resume` continues a partial result; `stop_after` ends before that step.
+    count)` giving a batch's loss as an iterable of parts whose sum is the
+    loss, and `validate()` giving {"val_loss": ..., ...}; its trainable set,
+    learning rates, epochs and batch size follow from `stage` and `run`.
+    Each part is backed as soon as it is built, so a step holds one part's
+    graph at a time, and the parts' values are summed in float32 in order.
+    The cosine schedule spans epochs × ceil(n_items / batch) steps, batches
+    a stage skips included. `resume` continues a partial result;
+    `stop_after` ends before that step.
     """
     set_trainable(params, lambda n: _trains(stage, n))
     if resume is not None:
@@ -452,10 +455,12 @@ def _train_stage(
                 opt.zero_grad(params)
                 _assert_regime(params, stage)
                 count = TokenCount()
-                loss = step_loss(batch, step, count)
-                value = float(loss.data)
-                _check_loss_finite(value, stage, step, result, ckpt_path)
-                backward(loss)
+                loss = None
+                for part in step_loss(batch, step, count):
+                    loss = part.data if loss is None else loss + part.data
+                    _check_loss_finite(float(loss), stage, step, result, ckpt_path)
+                    backward(part)
+                value = float(loss)
                 _assert_frozen_untouched(params, stage)
                 grad_norm = _grad_norm(params)
                 opt.lr_scale = _lr_scale(step, total_steps)
@@ -489,23 +494,29 @@ def _train_stage(
 # ---------------------------------------------------------------------------
 
 
-def _mntp_step_loss(params, run, seqs, step, train=True, count=None):
-    """Mean cross entropy over every masked token of `seqs`. Each length
-    group's `mntp_loss` enters weighted by its share of the masked tokens.
-    `train` picks the mask stream: training steps draw their masks from
-    `_STREAM_MASK`, validation from `_STREAM_VAL_MASK`."""
+def _mntp_parts(params, run, seqs, step, train=True, count=None):
+    """The parts of the mean cross entropy over every masked token of
+    `seqs`, one per length group, built lazily: each group's `mntp_loss`
+    weighted by its share of the masked tokens. `train` picks the mask
+    stream: training steps draw their masks from `_STREAM_MASK`,
+    validation from `_STREAM_VAL_MASK`."""
     stream = _STREAM_MASK if train else _STREAM_VAL_MASK
     rng_mask = stream_rng(run.seed, stream, step)
     masked = [apply_mntp_mask(s, run.mask_prob, rng_mask) for s in seqs]
     total = sum(len(s.mask_targets) for s in masked)
-    loss = None
     for idx, _, _, hidden in length_groups(params, run, masked, count=count):
         logits = linear(hidden, params["mntp.w"], params["mntp.b"])
         group = [masked[j] for j in idx]
         positions = [(b, p) for b, s in enumerate(group) for p in s.mask_positions]
         targets = [t for s in group for t in s.mask_targets]
         part = mntp_loss(logits, targets, positions, shift=run.mntp_shift)
-        part = scale(part, len(targets) / total)
+        yield scale(part, len(targets) / total)
+
+
+def _mntp_step_loss(params, run, seqs, step, train=True, count=None):
+    """The sum of `_mntp_parts` as one loss Tensor."""
+    loss = None
+    for part in _mntp_parts(params, run, seqs, step, train=train, count=count):
         loss = part if loss is None else add(loss, part)
     return loss
 
@@ -552,7 +563,7 @@ def train_mntp(
         return bucketed_batches(lengths, run.batch_mntp, rng_epoch)
 
     def step_loss(batch, step, count):
-        return _mntp_step_loss(params, run, [seqs[j] for j in batch], step, count=count)
+        return _mntp_parts(params, run, [seqs[j] for j in batch], step, count=count)
 
     def validate():
         view = frozen(params)
@@ -640,7 +651,7 @@ def train_contrastive(
         return [order[i : i + bs] for i in range(0, len(pairs) - 1, bs)]
 
     def step_loss(ids, step, count):
-        return _supcon_step_loss(params, run, encoded, ids, count)
+        return (_supcon_step_loss(params, run, encoded, ids, count),)
 
     def validate():
         view = frozen(params)
@@ -765,7 +776,7 @@ def train_clip(
         # merged once per step, so backward runs the fold once for all groups
         merged = lora_merge(params, run)
         v_proj, t_proj = _clip_project(merged, run, batch, count)
-        return clip_loss(v_proj, t_proj, params["clip.log_tau"])
+        return (clip_loss(v_proj, t_proj, params["clip.log_tau"]),)
 
     def validate():
         return _clip_val(lora_merge(frozen(params), run), run, val_items)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checkpoint import replacing
+
 PAD, MASK, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION, UNK = range(7)
 RESERVED_TOKENS = ("<pad>", "<mask>", "<bos>", "<eos>", "[findings]", "[impression]", "<unk>")
 SECTION_IDS = {"findings": SECTION_FINDINGS, "impression": SECTION_IMPRESSION}
@@ -65,7 +67,7 @@ class Vocabulary:
         return self.tokens[idx]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w", encoding="utf-8") as fh:
             for t in self.tokens:
                 fh.write(t + "\n")
 

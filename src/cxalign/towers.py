@@ -28,7 +28,7 @@ from .autodiff import (
     attention,
     concat,
     embedding,
-    gelu,
+    ffn,
     l2_normalize,
     linear,
     matmul,
@@ -192,8 +192,9 @@ def _attention(params, prefix, x, bias, heads, rope):
 
 
 def _ffn(params, prefix, x):
-    h = gelu(_linear(params, f"{prefix}.w1", x))
-    return _linear(params, f"{prefix}.w2", h)
+    return ffn(
+        x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], params[f"{prefix}.w2"], params[f"{prefix}.b2"]
+    )
 
 
 def _affine_ln(params, prefix, x):
@@ -280,8 +281,7 @@ def pool(params: dict, hidden: Tensor, elig: np.ndarray, mode: str) -> Tensor:
     lat = params["pool.latent"]  # (r, d)
     scores = scale(matmul(hidden, transpose(lat, (1, 0))), 1.0 / math.sqrt(d))
     ctx = matmul(softmax(scores), lat)  # (B,T,d)
-    h = gelu(linear(ctx, params["pool.w1"], params["pool.b1"]))
-    h = linear(h, params["pool.w2"], params["pool.b2"])
+    h = ffn(ctx, params["pool.w1"], params["pool.b1"], params["pool.w2"], params["pool.b2"])
     return reshape(matmul(Tensor(weights), h), (B, d))
 
 

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from cxalign import towers
-from cxalign.autodiff import Tensor
+from cxalign.autodiff import Tensor, gelu
 
 
 @pytest.fixture
@@ -34,7 +36,8 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 def unfolded_lora_forward(params, run, ids):
     """Reference for the LoRA fold: the text forward with each adapted
     weight's adapter run beside it, x@W + b + alpha/r * (x@A)@B, instead of
-    folded into W (values only, no tape)."""
+    folded into W (values only, no tape). The FFN runs unfused, so its two
+    weights go through the adapted map too."""
     base_linear = towers._linear
     scaling = run.lora_alpha / run.lora_rank
 
@@ -46,6 +49,42 @@ def unfolded_lora_forward(params, run, ids):
         a, b = p[a_key].data, p[f"lora.{name}.B"].data
         return Tensor(out.data + scaling * ((x.data @ a) @ b))
 
+    def adapted_ffn(p, prefix, x):
+        return adapted_linear(p, f"{prefix}.w2", gelu(adapted_linear(p, f"{prefix}.w1", x)))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(towers, "_linear", adapted_linear)
+        mp.setattr(towers, "_ffn", adapted_ffn)
         return towers.text_forward(params, run, ids)
+
+
+def graph_bytes(root: Tensor) -> dict:
+    """Bytes of the arrays the graph under `root` keeps for backward, per
+    primitive: each array its backward functions hold (their helper
+    closures included), counted once by the memory it views, so a
+    parameter a closure reads counts too."""
+    per_primitive, seen_nodes, seen_memory = Counter(), set(), set()
+
+    def arrays(fn):
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                yield value
+            elif callable(value) and getattr(value, "__closure__", None):
+                yield from arrays(value)
+
+    stack = [root.node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen_nodes or node.bwd is None:
+            continue
+        seen_nodes.add(id(node))
+        stack.extend(node.parents)
+        primitive = node.bwd.__qualname__.split(".")[0]
+        for a in arrays(node.bwd):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in seen_memory:
+                seen_memory.add(id(a))
+                per_primitive[primitive] += a.nbytes
+    return dict(per_primitive)

@@ -1,6 +1,8 @@
 """Numeric-core checks: shapes, values, and finite-difference gradients for
 every primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from cxalign import autodiff as ad
 from cxalign.autodiff import Tensor, backward
 
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, graph_bytes, rel_error
 
 
 def leaf(rng, *shape):
@@ -130,13 +132,29 @@ def test_backward_releases_interior_nodes(rng):
     y = ad.gelu(h)
     loss = ad.sum_(y)
     grads = backward(loss, leaves=[x, y])
-    for node in (h, y, loss):
-        assert node._bwd is None and node._parents is None
+    for out in (h, y, loss):
+        assert out.node.bwd is None and out.node.parents is None
     assert h.grad is None and loss.grad is None
     np.testing.assert_array_equal(grads[id(y)], np.ones((3, 2), dtype=np.float32))
     for p in (x, w, b):
-        assert p.grad is not None and p._parents == ()
+        assert p.grad is not None and p.node.parents == ()
     assert grads[id(x)] is x.grad
+
+
+def test_unsaved_forward_outputs_die_before_backward(rng):
+    """An output that no backward function reads is freed as soon as the
+    caller drops it: here the residual stream and the branch output of a
+    pre-norm block, which only `add` and layer norm consume."""
+    x, g, b = leaf(rng, 2, 5, 8), leaf(rng, 8), leaf(rng, 8)
+    w1, b1, w2, b2 = leaf(rng, 8, 16), leaf(rng, 16), leaf(rng, 16, 8), leaf(rng, 8)
+    branch = ad.linear(ad.gelu(ad.linear(ad.affine_layer_norm(x, g, b), w1, b1)), w2, b2)
+    h = ad.add(x, branch)
+    refs = [weakref.ref(branch.data), weakref.ref(h.data)]
+    loss = ad.sum_(ad.affine_layer_norm(h, g, b))
+    del branch, h
+    assert [r() for r in refs] == [None, None]
+    backward(loss)
+    assert x.grad is not None and w1.grad is not None
 
 
 def test_second_backward_through_released_graph_raises(rng):
@@ -287,7 +305,7 @@ def test_linear_frozen_operands_get_no_gradient(rng):
     backward(ad.sum_(ad.linear(x, w, b)))
     assert x.grad is None and b.grad is None and w.grad is not None
     frozen = ad.linear(Tensor(x.data), Tensor(w.data), Tensor(b.data))
-    assert not frozen.requires_grad and frozen._bwd is None
+    assert not frozen.requires_grad and frozen.node is None
 
 
 def test_linear_rejects_bad_shapes_and_nonfinite(rng):
@@ -395,11 +413,11 @@ def test_attention_records_one_node_and_skips_frozen_operands(rng):
     q, k = leaf(rng, 1, 4, 8), leaf(rng, 1, 4, 8)
     v = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
     y = ad.attention(q, k, v, heads=2)
-    assert y._parents == (q, k, v)
+    assert y.node.parents == (q.node, k.node, None)
     backward(ad.sum_(y))
     assert v.grad is None and q.grad is not None and k.grad is not None
     frozen = ad.attention(Tensor(q.data), Tensor(k.data), v, heads=2)
-    assert not frozen.requires_grad and frozen._bwd is None
+    assert not frozen.requires_grad and frozen.node is None
 
 
 def test_attention_rejects_bad_input(rng):
@@ -416,6 +434,83 @@ def test_attention_rejects_bad_input(rng):
     bad[0, 1, 3] = np.nan
     with pytest.raises(ad.NonFiniteError):
         ad.attention(Tensor(bad), q, q, heads=2)
+
+
+def _ffn_leaves(r, shape, frozen=()):
+    """x, w1, b1, w2, b2 for an (..., 4) input and 6 hidden units; the
+    operands named in `frozen` require no gradient."""
+    shapes = {"x": shape, "w1": (4, 6), "b1": (6,), "w2": (6, 3), "b2": (3,)}
+    return [
+        Tensor(r.normal(size=s).astype(np.float32), requires_grad=name not in frozen)
+        for name, s in shapes.items()
+    ]
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_ffn_gradients(rng, shape):
+    x, w1, b1, w2, b2 = _ffn_leaves(rng, shape)
+    probe = Tensor(rng.normal(size=shape[:-1] + (3,)).astype(np.float32))
+    operands = [x, w1, b1, w2, b2]
+    for i, operand in enumerate(operands):
+        def build(t, i=i):
+            args = list(operands)
+            args[i] = t
+            return ad.sum_(ad.mul(ad.ffn(*args), probe))
+
+        check_grad(build, operand)
+
+
+@pytest.mark.parametrize(
+    "frozen", [(), ("x",), ("w1", "b1"), ("w2", "b2"), ("x", "w1", "b1")],
+    ids=["none", "x", "first", "second", "all-first"],
+)
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_ffn_matches_unfused_chain(shape, frozen):
+    """Same values and all five gradients as linear -> gelu -> linear, bit
+    for bit; a frozen operand gets no gradient. With every operand
+    trained, the fused node keeps less for backward than the chain."""
+    probe = Tensor(np.random.default_rng(2).normal(size=shape[:-1] + (3,)).astype(np.float32))
+    results, kept = [], []
+    for fused in (True, False):
+        operands = _ffn_leaves(np.random.default_rng(1), shape, frozen)
+        x, w1, b1, w2, b2 = operands
+        if fused:
+            y = ad.ffn(x, w1, b1, w2, b2)
+        else:
+            y = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+        kept.append(sum(graph_bytes(y).values()))
+        backward(ad.sum_(ad.mul(y, probe)))
+        results.append([y.data] + [t.grad for t in operands])
+    for fused, ref in zip(*results):
+        if ref is None:
+            assert fused is None
+        else:
+            np.testing.assert_array_equal(fused, ref)
+    assert sum(g is None for g in results[0][1:]) == len(frozen)
+    # the chain keeps the activation as well
+    if not frozen:
+        assert kept[0] < kept[1]
+
+
+def test_ffn_keeps_input_pre_activation_and_tanh(rng):
+    x, w1, b1, w2, b2 = _ffn_leaves(rng, (2, 3, 4))
+    y = ad.ffn(x, w1, b1, w2, b2)
+    rows, hidden = 2 * 3, w1.shape[1]
+    # x, the pre-activation and its tanh, plus the two weights
+    expected = x.data.nbytes + 2 * rows * hidden * 4 + w1.data.nbytes + w2.data.nbytes
+    assert graph_bytes(y) == {"ffn": expected}
+    frozen = ad.ffn(*(Tensor(t.data) for t in (x, w1, b1, w2, b2)))
+    assert frozen.node is None
+
+
+def test_ffn_rejects_bad_shapes(rng):
+    x, w1, b1, w2, b2 = _ffn_leaves(rng, (5, 4))
+    with pytest.raises(ad.ShapeError):
+        ad.ffn(x, w1, b1, leaf(rng, 5, 3), b2)
+    with pytest.raises(ad.ShapeError):
+        ad.ffn(x, w1, leaf(rng, 4), w2, b2)
+    with pytest.raises(ad.ShapeError):
+        ad.ffn(leaf(rng, 5, 3), w1, b1, w2, b2)
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])

@@ -2,6 +2,7 @@
 freezing regime, divergence handling, and training logs."""
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -19,7 +20,7 @@ from cxalign.checkpoint import (
 )
 from cxalign.grammar.corpus import generate_corpus
 from cxalign.optim import AdamW, DivergenceError
-from cxalign.objectives import build_contrastive_pairs, mntp_loss, supcon_loss
+from cxalign.objectives import build_contrastive_pairs, mntp_loss, mntp_text_pool, supcon_loss
 from cxalign.pipeline import (
     CLIP_TRAINABLE_PREFIXES,
     GROUP_ROWS,
@@ -234,6 +235,24 @@ def test_checkpoint_overflowing_shape_raises_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path):
+    """A save that fails after writing some arrays leaves the previous file
+    byte-identical and no temp file behind."""
+
+    class Unwritable:
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    path = tmp_path / "m.cxal"
+    save_checkpoint(path, "mntp", 1, "0" * 16, _arrays())
+    before = path.read_bytes()
+    # arrays are written in name order, so "w.a" and "w.b" go first
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, "mntp", 2, "0" * 16, {**_arrays(), "z": Unwritable()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------------------
 # Length-grouped text forwards
 # ---------------------------------------------------------------------------
@@ -328,6 +347,64 @@ def test_grouped_mntp_step_loss_matches_one_padded_batch(tower):
         assert rel_error(g, ref_grads[name]) <= GROUPED_RTOL, name
 
 
+def test_mntp_parts_backward_matches_one_backward_of_their_sum(tower):
+    """Backing each length group's part on its own gives the parameter
+    gradients of one backward over the summed loss, byte for byte."""
+    run, params, seqs = tower
+    ref = _grads(params, _mntp_step_loss(params, run, seqs, step=3))
+    for p in params.values():
+        p.grad = None
+    parts = 0
+    for part in pipeline._mntp_parts(params, run, seqs, step=3):
+        backward(part)
+        parts += 1
+    assert parts >= 3
+    grads = {n: p.grad for n, p in params.items() if p.grad is not None}
+    assert grads.keys() == ref.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == ref[name].tobytes(), name
+
+
+def test_mntp_step_holds_one_group_graph_at_a_time(corpus, monkeypatch):
+    """An MNTP step over 4 length groups of one length peaks below half of
+    the whole step's graph kept with every forward output, as every
+    output was kept before a step backed each group on its own."""
+    import tracemalloc
+
+    from cxalign import autodiff
+
+    run = RunConfig()
+    vocab = corpus_vocab(corpus)
+    pool = [encode(t, vocab, max_len=run.max_len) for t in mntp_text_pool(corpus)]
+    seqs = [s for s in pool if len(s.ids) == 14][: 4 * GROUP_ROWS]
+    assert len(seqs) == 4 * GROUP_ROWS
+    params = init_text_tower(run, len(vocab), np.random.default_rng(0))
+
+    outputs = []
+    track = autodiff._track
+
+    def keeping(out, parents, bwd):
+        outputs.append(track(out, parents, bwd))
+        return outputs[-1]
+
+    monkeypatch.setattr(autodiff, "_track", keeping)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = _mntp_step_loss(params, run, seqs, step=3)
+        whole = tracemalloc.get_traced_memory()[0] - start
+        monkeypatch.undo()
+        del loss, outputs[:]
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for part in pipeline._mntp_parts(params, run, seqs, step=3):
+            backward(part)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2, (peak, whole)
+
+
 def test_step_log_counts_the_tokens_the_forwards_ran(corpus, monkeypatch):
     """Each step record's `tokens` and `pad_tokens` equal the positions
     and padding of that step's training forwards."""
@@ -340,14 +417,16 @@ def test_step_log_counts_the_tokens_the_forwards_ran(corpus, monkeypatch):
             pending[2].add(ids.shape[1])
         return text_forward(params, run, ids, **kwargs)
 
-    def spy_backward(loss):
+    optimizer_step = AdamW.step
+
+    def spy_step(opt, params):
         steps.append(tuple(pending[:2]))
         widths.append(pending[2])
         pending[:] = [0, 0, set()]
-        return backward(loss)
+        return optimizer_step(opt, params)
 
     monkeypatch.setattr(pipeline, "text_forward", spy_forward)
-    monkeypatch.setattr(pipeline, "backward", spy_backward)
+    monkeypatch.setattr(AdamW, "step", spy_step)
     run = RunConfig(**{**TINY, "batch_mntp": 24, "batch_contrastive": 24, "batch_clip": 24})
     r1 = train_mntp(corpus, run)
     r2 = train_contrastive(corpus, run, init=r1)
@@ -510,13 +589,14 @@ def test_finite_loss_passes_through(corpus, tmp_path):
 
 def test_divergence_checkpoint_records_the_failing_step(corpus, tmp_path, monkeypatch):
     k = 5
-    step_loss = pipeline._mntp_step_loss
+    step_parts = pipeline._mntp_parts
 
     def nan_at_k(params, run, seqs, step, train=True, count=None):
-        loss = step_loss(params, run, seqs, step, train=train, count=count)
-        return Tensor(np.nan) if train and step == k else loss
+        parts = step_parts(params, run, seqs, step, train=train, count=count)
+        # the step's finite parts are backed before its last part diverges
+        return itertools.chain(parts, [Tensor(np.nan)]) if train and step == k else parts
 
-    monkeypatch.setattr(pipeline, "_mntp_step_loss", nan_at_k)
+    monkeypatch.setattr(pipeline, "_mntp_parts", nan_at_k)
     out = tmp_path / "diverged.cxal"
     with pytest.raises(DivergenceError, match=f"step {k}"):
         train_mntp(corpus, RunConfig(**TINY), ckpt_path=out)

@@ -1,6 +1,7 @@
 """Dual towers: masking semantics, pooling, LoRA equivalences, projection."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error, unfolded_lora_forward
-from cxalign.autodiff import NonFiniteError, ShapeError, Tensor, backward, mul, sum_
+from cxalign.autodiff import NonFiniteError, ShapeError, Tensor, add, backward, mul, sum_
 from cxalign.pipeline import RunConfig
 from cxalign.tokenizer import BOS, EOS, PAD
 from cxalign import towers as tw
@@ -308,9 +309,26 @@ def test_frozen_views_share_memory_and_record_no_tape(params, vparams):
     images = np.random.default_rng(2).random((2, 64, 64)).astype(np.float32)
     vision = tw.vision_forward(tw.frozen(vparams), images=images)
     for out in (hidden, pooled, vision):
-        assert out._parents == () and not out.requires_grad
+        assert out.node is None and not out.requires_grad
     # the same forward over the trainable parameters does record a tape
-    assert tw.text_forward(params, RUN, ids)._parents
+    assert tw.text_forward(params, RUN, ids).node.parents
+
+
+def test_text_forward_keeps_no_residual_stream(params, monkeypatch):
+    """The residual stream is read by no backward function, so each block's
+    sums are freed during the forward that differentiates the tower."""
+    refs = []
+
+    def spy_add(a, b):
+        out = add(a, b)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(tw, "add", spy_add)
+    hidden = tw.text_forward(params, RUN, seq_ids(10, 11, 12, 13))
+    assert hidden.requires_grad
+    assert len(refs) == 2 * RUN.layers
+    assert all(r() is None for r in refs)
 
 
 def test_frozen_forward_still_rejects_non_finite_weights(params):
