@@ -5,16 +5,17 @@ A Tensor holds a forward array and, when it requires a gradient, a graph
 function of the primitive application that produced it. `backward(root)`
 replays the nodes in reverse topological order. Tensors have no operators:
 every op is a primitive called by name. The primitive set is fixed: matmul,
-add, mul, scale, a fused affine map (linear), softmax, layer norm, rotary
-positions, embedding lookup, GELU, exp, an upper clamp (`minimum_const`),
-row L2 normalization, cross entropy from logits, a sum of all elements,
-plus shape plumbing (reshape, transpose, concat, row gather). Three fused
-primitives carry a transformer block in a few nodes: `attention` (head
-split, rotary, scaled and biased softmax, context product and head merge),
-`affine_layer_norm` (layer norm, gain and shift) and `ffn` (linear, GELU,
-linear). Each shares its math with the unfused primitives and gives their
-results bit for bit. A primitive none of whose inputs requires a gradient
-records nothing, so a forward over `towers.frozen` views builds no graph.
+add, mul, scale, a fused affine map (linear), embedding lookup, exp, an
+upper clamp (`minimum_const`), row L2 normalization, cross entropy from
+logits, plus shape plumbing (reshape, transpose, concat, row gather). Three
+fused primitives carry a transformer block in a few nodes: `attention`
+(head split, rotary, scaled and biased softmax, context product and head
+merge), `affine_layer_norm` (layer norm, gain and shift) and `ffn` (linear,
+GELU, linear). Their unfused references (softmax, layer norm, GELU, rotary
+positions, a sum of all elements) are built in `tests/reference_ops.py` on
+this module's math helpers, and each fused primitive gives their results
+bit for bit. A primitive none of whose inputs requires a gradient records
+nothing, so a forward over `towers.frozen` views builds no graph.
 
 Saved arrays. A backward function holds only the arrays its backward reads
 (an operand's values only when the other operand needs a gradient), plus
@@ -45,7 +46,6 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "GraphReleasedError",
-    "tensor",
     "add",
     "mul",
     "scale",
@@ -55,14 +55,9 @@ __all__ = [
     "transpose",
     "concat",
     "take_rows",
-    "sum_",
-    "softmax",
-    "layer_norm",
     "affine_layer_norm",
     "attention",
     "ffn",
-    "gelu",
-    "rotary",
     "exp",
     "minimum_const",
     "l2_normalize",
@@ -151,12 +146,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    t = Tensor(data, requires_grad=requires_grad)
-    _check_finite(t.data, "tensor()")
-    return t
 
 
 def _as_tensor(x) -> Tensor:
@@ -338,18 +327,6 @@ def take_rows(a, idx) -> Tensor:
     return _track(out, (a,), bwd)
 
 
-def sum_(a) -> Tensor:
-    """Sum of every element, as a scalar."""
-    a = _as_tensor(a)
-    out = a.data.sum()
-    sa = a.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, sa),)
-
-    return _track(np.asarray(out, dtype=np.float32), (a,), bwd)
-
-
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
     # -inf logits (masked positions) are fine; NaN, +inf, or an all--inf row
@@ -363,17 +340,6 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     dot = (g * out).sum(axis=-1, keepdims=True)
     return out * (g - dot)
-
-
-def softmax(a) -> Tensor:
-    """Row softmax over the last axis (numerically stable)."""
-    a = _as_tensor(a)
-    out = _softmax_rows(a.data)
-
-    def bwd(g):
-        return (_softmax_grad(out, g),)
-
-    return _track(out, (a,), bwd)
 
 
 # added to the variance of `_normalize` and to the norm of `l2_normalize`
@@ -397,17 +363,6 @@ def _normalize_grad(out: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarr
     gsum = g.sum(axis=-1, keepdims=True)
     gdot = (g * out).sum(axis=-1, keepdims=True)
     return inv * (g - gsum / n - out * gdot / n)
-
-
-def layer_norm(a) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
-    a = _as_tensor(a)
-    out, inv = _normalize(a.data)
-
-    def bwd(g):
-        return (_normalize_grad(out, inv, g),)
-
-    return _track(out, (a,), bwd)
 
 
 def affine_layer_norm(a, gain, shift) -> Tensor:
@@ -475,18 +430,6 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
-def gelu(a) -> Tensor:
-    """tanh approximation of GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
-    a = _as_tensor(a)
-    x = a.data
-    t = _gelu_tanh(x)
-
-    def bwd(g):
-        return (_gelu_grad(x, t, g),)
-
-    return _track(_gelu_from_tanh(x, t), (a,), bwd)
-
-
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """`linear(gelu(linear(x, w1, b1)), w2, b2)` as one node, bit for bit.
 
@@ -545,19 +488,6 @@ def _rotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     half = g.shape[-1] // 2
     gs = g * sin
     return g * cos + np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
-
-
-def rotary(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position embedding over the last axis, rotate-half layout:
-    feature pairs (i, i + d/2) turn by the angles whose cosines and sines
-    are the constant arrays `cos` and `sin` (broadcastable to `a`)."""
-    a = _as_tensor(a)
-    out = _rotate(a.data, cos, sin)
-
-    def bwd(g):
-        return (_rotate_grad(g, cos, sin),)
-
-    return _track(out, (a,), bwd)
 
 
 def attention(q, k, v, heads: int, cos=None, sin=None, bias=None) -> Tensor:

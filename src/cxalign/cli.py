@@ -134,16 +134,17 @@ def cmd_train(args) -> int:
     if args.stage == "clip" and not args.init:
         print("train clip: --init (stage-2 run directory) is required", file=sys.stderr)
         return 2
-    # a missing or unreadable input, or a refused config, is a usage error
+    # a missing or unreadable input, or a refused config or run directory,
+    # is a usage error
     try:
         run = _load_config(args.config, args.seed)
         studies = read_corpus(args.corpus)
+        init = load_stage(args.init) if args.init else None
     except (OSError, ValueError) as e:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "log.jsonl")
-    init = load_stage(args.init) if args.init else None
     if args.stage == "mntp":
         result = train_mntp(studies, run, log_path=log_path)
     elif args.stage == "contrastive":
@@ -173,8 +174,12 @@ def cmd_embed(args) -> int:
 
     from .grammar.corpus import read_corpus
 
-    encoder, result = _encoder_for(args.ckpt)
-    studies = read_corpus(args.corpus)
+    try:
+        encoder, result = _encoder_for(args.ckpt)
+        studies = read_corpus(args.corpus)
+    except (OSError, ValueError) as e:
+        print(f"embed: {e}", file=sys.stderr)
+        return 2
     ids = [s.study_id for s in studies]
     if args.side == "image":
         if result.stage != "clip":
@@ -220,8 +225,12 @@ def cmd_eval(args) -> int:
     from .grammar.corpus import read_corpus
     from .pipeline import split_corpus
 
-    encoder, result = _encoder_for(args.ckpt)
-    studies = read_corpus(args.corpus)
+    try:
+        encoder, result = _encoder_for(args.ckpt)
+        studies = read_corpus(args.corpus)
+    except (OSError, ValueError) as e:
+        print(f"eval {args.task}: {e}", file=sys.stderr)
+        return 2
     train, val = split_corpus(studies)
     task = args.task
     if task == "multimodal" and result.stage != "clip":

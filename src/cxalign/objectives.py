@@ -46,18 +46,12 @@ def inverse_tau(log_tau) -> Tensor:
     return minimum_const(exp(scale(log_tau, -1.0)), 1.0 / TAU_MIN)
 
 
-def mntp_loss(
-    logits: Tensor,
-    targets,
-    mask_positions,
-    shift: bool = False,
-) -> Tensor:
+def mntp_loss(logits: Tensor, targets, mask_positions) -> Tensor:
     """Mean cross entropy over masked positions of (B, T, V) logits.
 
-    `mask_positions` holds flat (batch, pos) pairs. With `shift`, the
-    prediction is read at position i-1 (the next-token convention LLM2Vec
-    keeps, and the pipeline's default); otherwise at the masked position
-    itself.
+    `mask_positions` holds flat (batch, pos) pairs. A masked token's
+    prediction is read at position pos - 1, the next-token convention that
+    LLM2Vec keeps, so no masked position may be 0.
     """
     mask_positions = list(mask_positions)
     if not mask_positions:
@@ -65,10 +59,9 @@ def mntp_loss(
     B, T, V = logits.shape
     rows = []
     for b, pos in mask_positions:
-        read = pos - 1 if shift else pos
-        if read < 0:
+        if pos < 1:
             raise ValueError("mntp_loss: shifted read position before sequence start")
-        rows.append(b * T + read)
+        rows.append(b * T + pos - 1)
     flat = reshape(logits, (B * T, V))
     picked = take_rows(flat, np.asarray(rows, dtype=np.int64))
     return cross_entropy(picked, np.asarray(targets, dtype=np.int64))

@@ -82,8 +82,6 @@ class RunConfig:
     LoRA adapters. The stages need different rates: MNTP at 3e-4 leaves the
     bidirectional tower no better than the causal one after 5 epochs, while
     supervised contrastive at 1e-3 lowers held-out Task 1 recall.
-    Stage 1 reads each masked token's prediction at position i-1
-    (`mntp_shift`, as in LLM2Vec).
 
     Every stage under-fits at this data size, so the recipe has no
     dropout, and stage 3 uses batch 16: it gains more from optimizer steps
@@ -103,8 +101,6 @@ class RunConfig:
     mask_prob: float = 0.2
     section_aware: bool = False
     mask_mode: Literal["bidirectional", "causal"] = "bidirectional"
-    pooling: Literal["mean", "latent"] = "mean"
-    mntp_shift: bool = True
     supcon_tau: float = 0.07
     layers: int = 2
     model_dim: int = 64
@@ -509,7 +505,7 @@ def _mntp_parts(params, run, seqs, step, train=True, count=None):
         group = [masked[j] for j in idx]
         positions = [(b, p) for b, s in enumerate(group) for p in s.mask_positions]
         targets = [t for s in group for t in s.mask_targets]
-        part = mntp_loss(logits, targets, positions, shift=run.mntp_shift)
+        part = mntp_loss(logits, targets, positions)
         yield scale(part, len(targets) / total)
 
 
@@ -589,7 +585,7 @@ def encode_pooled(params, run: RunConfig, seqs, normalize=True, count=None):
     from length-grouped forwards (`length_groups`)."""
     parts, order = [], []
     for idx, ids, spans, hidden in length_groups(params, run, seqs, count=count):
-        parts.append(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
+        parts.append(pool(hidden, eligible_mask(ids, spans)))
         order.append(idx)
     pooled = concat(parts) if len(parts) > 1 else parts[0]
     order = np.concatenate(order)

@@ -1,0 +1,83 @@
+"""Unfused reference primitives: the ops the fused `attention`,
+`affine_layer_norm` and `ffn` must reproduce bit for bit, plus a scalar sum
+for building test losses. The program runs none of them, so they live with
+the tests. Each is one graph node over autodiff's own math helpers, so a
+reference and its fused op share every float operation."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cxalign.autodiff import (
+    Tensor,
+    _as_tensor,
+    _gelu_from_tanh,
+    _gelu_grad,
+    _gelu_tanh,
+    _normalize,
+    _normalize_grad,
+    _rotate,
+    _rotate_grad,
+    _softmax_grad,
+    _softmax_rows,
+    _track,
+)
+
+
+def sum_(a) -> Tensor:
+    """Sum of every element, as a scalar."""
+    a = _as_tensor(a)
+    out = a.data.sum()
+    sa = a.shape
+
+    def bwd(g):
+        return (np.broadcast_to(g, sa),)
+
+    return _track(np.asarray(out, dtype=np.float32), (a,), bwd)
+
+
+def softmax(a) -> Tensor:
+    """Row softmax over the last axis (numerically stable)."""
+    a = _as_tensor(a)
+    out = _softmax_rows(a.data)
+
+    def bwd(g):
+        return (_softmax_grad(out, g),)
+
+    return _track(out, (a,), bwd)
+
+
+def layer_norm(a) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (no affine)."""
+    a = _as_tensor(a)
+    out, inv = _normalize(a.data)
+
+    def bwd(g):
+        return (_normalize_grad(out, inv, g),)
+
+    return _track(out, (a,), bwd)
+
+
+def gelu(a) -> Tensor:
+    """tanh approximation of GELU, 0.5 x (1 + tanh(c (x + a x^3)))."""
+    a = _as_tensor(a)
+    x = a.data
+    t = _gelu_tanh(x)
+
+    def bwd(g):
+        return (_gelu_grad(x, t, g),)
+
+    return _track(_gelu_from_tanh(x, t), (a,), bwd)
+
+
+def rotary(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary position embedding over the last axis, rotate-half layout:
+    feature pairs (i, i + d/2) turn by the angles whose cosines and sines
+    are the constant arrays `cos` and `sin` (broadcastable to `a`)."""
+    a = _as_tensor(a)
+    out = _rotate(a.data, cos, sin)
+
+    def bwd(g):
+        return (_rotate_grad(g, cos, sin),)
+
+    return _track(out, (a,), bwd)

@@ -74,7 +74,8 @@ def test_criterion_1_loss_gradients_fd():
         logits0 = rng.normal(size=(n, T, V)).astype(np.float32)
         k = int(rng.integers(1, n * T // 2 + 1))
         flat = rng.choice(n * T, size=k, replace=False)
-        positions = [(int(i // T), int(i % T)) for i in flat]
+        # logits row p predicts the token at p + 1
+        positions = [(int(i // T), int(i % T) + 1) for i in flat]
         targets = [int(v) for v in rng.integers(0, V, size=k)]
         check(lambda x: obj.mntp_loss(x, targets, positions), logits0)
     assert cases >= 50
@@ -191,7 +192,7 @@ def test_criterion_4_zero_head_loss_is_ln_vocab():
     V = 97
     rng = np.random.default_rng(8)
     logits = Tensor(np.zeros((4, 11, V), dtype=np.float32))
-    positions = [(int(b), int(t)) for b in range(4) for t in rng.choice(11, 3, replace=False)]
+    positions = [(int(b), int(t) + 1) for b in range(4) for t in rng.choice(11, 3, replace=False)]
     targets = [int(v) for v in rng.integers(0, V, size=len(positions))]
     loss = obj.mntp_loss(logits, targets, positions)
     assert abs(float(loss.data) - math.log(V)) <= 1e-4

@@ -4,6 +4,7 @@ tiny corpus, plus manifests, determinism, and exit codes."""
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,28 @@ def test_train_missing_corpus_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert str(missing) in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "embed", "eval"])
+def test_refused_run_directory_is_usage_error(workdir, tmp_path, capsys, command):
+    """A run directory that `load_stage` refuses (here a config with a
+    field this version does not have, or no directory at all) ends in the
+    reason and exit code 2, not a traceback."""
+    old = tmp_path / "old"
+    shutil.copytree(workdir / "s2", old)
+    doc = json.loads((old / "config.json").read_text())
+    (old / "config.json").write_text(json.dumps({**doc, "pooling": "mean"}))
+    corpus, out = str(workdir / "corpus.jsonl"), tmp_path / "out"
+    argv = {
+        "train": lambda d: ["train", "clip", "--corpus", corpus, "--config", str(workdir / "config.json"),
+                            "--init", d, "--out", str(out)],
+        "embed": lambda d: ["embed", "--ckpt", d, "--corpus", corpus, "--out", str(out)],
+        "eval": lambda d: ["eval", "--task", "task1", "--ckpt", d, "--corpus", corpus, "--out", str(out)],
+    }[command]
+    for run_dir, reason in ((old, "unknown keys ['pooling']"), (tmp_path / "missing", "missing")):
+        assert main(argv(str(run_dir))) == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_outputs_run_directory(workdir):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxalign import objectives as obj
-from cxalign.autodiff import Tensor, backward, l2_normalize
+from cxalign.autodiff import Tensor, backward, cross_entropy, l2_normalize
 from cxalign.grammar.corpus import generate_corpus
 
 from conftest import finite_difference, rel_error
@@ -128,7 +128,7 @@ def test_mntp_uniform_logits_ln_vocab():
 def test_mntp_perfect_logits_near_zero(rng):
     logits = np.zeros((1, 4, 10), dtype=np.float32)
     logits[0, 1, 7] = 50.0
-    loss = obj.mntp_loss(Tensor(logits), [7], [(0, 1)])
+    loss = obj.mntp_loss(Tensor(logits), [7], [(0, 2)])
     assert float(loss.data) < 1e-4
 
 
@@ -148,9 +148,11 @@ def test_mntp_empty_mask_rejected(rng):
 
 def test_mntp_shift_reads_previous_position(rng):
     logits = rng.normal(size=(1, 4, 8)).astype(np.float32)
-    shifted = float(obj.mntp_loss(Tensor(logits), [2], [(0, 2)], shift=True).data)
-    manual = float(obj.mntp_loss(Tensor(logits[:, [0, 1, 1, 3]]), [2], [(0, 2)]).data)
+    shifted = float(obj.mntp_loss(Tensor(logits), [2], [(0, 2)]).data)
+    manual = float(cross_entropy(Tensor(logits[0, [1]]), [2]).data)
     assert abs(shifted - manual) < 1e-6
+    with pytest.raises(ValueError):
+        obj.mntp_loss(Tensor(logits), [2], [(0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,8 @@ def test_loss_gradients_randomized(case):
 
     T, V = int(rng.integers(2, 6)), int(rng.integers(4, 12))
     logits = rng.normal(size=(n, T, V)).astype(np.float32)
-    positions = [(b, int(rng.integers(0, T))) for b in range(n)]
+    # logits row p predicts the token at p + 1
+    positions = [(b, int(rng.integers(0, T)) + 1) for b in range(n)]
     targets = [int(rng.integers(0, V)) for _ in range(n)]
     _fd_check(lambda x: obj.mntp_loss(x, targets, positions), logits)
 

@@ -88,7 +88,15 @@ def test_default_config_digest_is_pinned():
     # Every saved run directory carries its config's digest in its
     # checkpoint headers, and `load_stage` refuses a mismatch: a change to a
     # field or a default must be deliberate, with this pin updated with it.
-    assert RunConfig().digest() == "c122ec0d62042f1c"
+    assert RunConfig().digest() == "0864fd4d80303f5f"
+
+
+def test_text_init_stream_is_pinned():
+    # Every later stage starts from these arrays, so a change to the init
+    # draws moves every number the acceptance suite gates: it must be
+    # deliberate, with this pin updated with it.
+    params = init_text_tower(RunConfig(), 50, np.random.default_rng(1))
+    assert _param_digest(params) == "34dcccc134044039617fed3332c220dbc28554ea85654c4c754f8039a609787f"
 
 
 @pytest.mark.parametrize(
@@ -98,7 +106,6 @@ def test_default_config_digest_is_pinned():
         {"lr_text": -1.0},
         {"mask_prob": 1.5},
         {"mask_mode": "diagonal"},
-        {"pooling": "max"},
         {"heads": 3},
         *({name: 0} for name in (
             "layers", "model_dim", "heads", "ffn_dim", "max_len", "shared_dim", "supcon_tau", "lora_rank",
@@ -108,6 +115,7 @@ def test_default_config_digest_is_pinned():
         {"mask_prob": None},
         {"section_aware": 1},
         {"seed": -1},
+        {"batch_clip": 1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -278,7 +286,7 @@ def _one_batch_pooled(params, run, seqs):
     """Reference: every sequence in one padded forward."""
     ids, spans = pad_batch(seqs)
     hidden = text_forward(params, run, ids)
-    return l2_normalize(pool(params, hidden, eligible_mask(ids, spans), run.pooling))
+    return l2_normalize(pool(hidden, eligible_mask(ids, spans)))
 
 
 def _one_batch_mntp_loss(params, run, seqs, step):
@@ -289,13 +297,11 @@ def _one_batch_mntp_loss(params, run, seqs, step):
     logits = add(matmul(text_forward(params, run, ids), params["mntp.w"]), params["mntp.b"])
     positions = [(b, p) for b, s in enumerate(masked) for p in s.mask_positions]
     targets = [t for s in masked for t in s.mask_targets]
-    return mntp_loss(logits, targets, positions, shift=run.mntp_shift)
+    return mntp_loss(logits, targets, positions)
 
 
-@pytest.mark.parametrize("pooling", ["mean", "latent"])
-def test_grouped_rows_match_one_padded_batch(tower, pooling):
-    _, params, seqs = tower
-    run = RunConfig(**{**TINY, "pooling": pooling})
+def test_grouped_rows_match_one_padded_batch(tower):
+    run, params, seqs = tower
     lengths = [len(s.ids) for s in seqs]
     assert len(seqs) > 2 * GROUP_ROWS and lengths != sorted(lengths)
     rows = encode_pooled(params, run, seqs).data
