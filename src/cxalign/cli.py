@@ -64,6 +64,7 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
     import numpy
 
     from . import __version__, peak_rss_mb
+    from .checkpoint import replacing
 
     manifest = {
         "command": command,
@@ -87,7 +88,7 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
     path = str(out_path) + ".manifest.json"
     if os.path.isdir(out_path):
         path = os.path.join(out_path, "manifest.json")
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -111,6 +112,9 @@ def _load_config(path, seed):
 def cmd_gen_corpus(args) -> int:
     from .grammar.corpus import generate_corpus, write_corpus
 
+    if args.n < 1:
+        print(f"gen-corpus: --n must be at least 1, not {args.n}", file=sys.stderr)
+        return 2
     studies = generate_corpus(args.n, seed=args.seed, noise_sigma=args.noise_sigma)
     write_corpus(studies, args.out)
     write_manifest(args.out, "gen-corpus", vars(args), "", args.seed, [], {"studies": len(studies)})
@@ -120,13 +124,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     from .grammar.corpus import read_corpus
-    from .pipeline import (
-        load_stage,
-        save_stage,
-        train_clip,
-        train_contrastive,
-        train_mntp,
-    )
+    from .pipeline import ValidationSplitError, load_stage, train_clip, train_contrastive, train_mntp
 
     if args.stage == "mntp" and args.init:
         print("train mntp: --init is not accepted (stage 1 starts fresh)", file=sys.stderr)
@@ -143,15 +141,18 @@ def cmd_train(args) -> int:
     except (OSError, ValueError) as e:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "log.jsonl")
-    if args.stage == "mntp":
-        result = train_mntp(studies, run, log_path=log_path)
-    elif args.stage == "contrastive":
-        result = train_contrastive(studies, run, init=init, log_path=log_path)
-    else:
-        result = train_clip(studies, run, text_init=init, log_path=log_path)
-    save_stage(result, args.out)
+    # a split too small to score is refused before the first step and
+    # before the run directory is made; later errors keep their traceback
+    try:
+        if args.stage == "mntp":
+            result = train_mntp(studies, run, out_dir=args.out)
+        elif args.stage == "contrastive":
+            result = train_contrastive(studies, run, init=init, out_dir=args.out)
+        else:
+            result = train_clip(studies, run, text_init=init, out_dir=args.out)
+    except ValidationSplitError as e:
+        print(f"train {args.stage}: {e}", file=sys.stderr)
+        return 2
     inputs = [args.corpus] + ([os.path.join(args.init, "model.cxal")] if args.init else [])
     write_manifest(
         args.out, f"train {args.stage}", vars(args), run.digest(), run.seed, inputs,
@@ -266,8 +267,12 @@ def cmd_report(args) -> int:
 
     tasks, notes, digests = {}, [], []
     for path in args.reports:
-        with open(path) as fh:
-            rep = EvalReport.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                rep = EvalReport.from_json(fh.read())
+        except (OSError, ValueError) as e:
+            print(f"report: {path}: {e}", file=sys.stderr)
+            return 2
         tasks.update(rep.tasks)
         notes.extend(rep.notes)
         digests.append(rep.config_digest)

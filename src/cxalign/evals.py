@@ -15,8 +15,8 @@ from .autodiff import concat
 from .grammar.labels import extract_labels
 from .grammar.render import render_report
 from .grammar.types import KINDS
-from .objectives import INSTR_IMAGE, INSTR_SUMMARIZE
-from .pipeline import GROUP_ROWS, StageResult, encode_pooled, section_text
+from .objectives import INSTR_SUMMARIZE
+from .pipeline import GROUP_ROWS, StageResult, clip_text_seq, encode_pooled, section_text
 from .tokenizer import encode
 from .towers import frozen, lora_merge, project, vision_forward
 
@@ -97,13 +97,15 @@ class TextEncoder:
         self.run = result.config
 
     def embed(self, texts, instruction=None) -> np.ndarray:
-        return self._embed(texts, instruction=instruction)
+        return self._embed([
+            encode(t, self.vocab, instruction=instruction, max_len=self.run.max_len) for t in texts
+        ])
 
-    def _embed(self, inputs, image=False, instruction=None, section=None, head=None):
-        """(N, d) rows for texts, or for images when `image` is set, in
-        input order. `head` names the projection ("proj_text", "proj_img")
-        that maps rows into the shared space; without one, pooled text rows
-        are L2-normalized."""
+    def _embed(self, inputs, image=False, head=None):
+        """(N, d) rows for token sequences, or for images when `image` is
+        set, in input order. `head` names the projection ("proj_text",
+        "proj_img") that maps rows into the shared space; without one,
+        pooled text rows are L2-normalized."""
         dim = self.params[f"{head}.w"].shape[1] if head else self.run.model_dim
         if not len(inputs):
             return np.empty((0, dim), dtype=np.float32)
@@ -114,20 +116,10 @@ class TextEncoder:
             ])
             source = np.arange(len(inputs))
         else:
-            seqs = [
-                encode(
-                    t,
-                    self.vocab,
-                    instruction=instruction,
-                    section=section,
-                    max_len=self.run.max_len,
-                )
-                for t in inputs
-            ]
             # a repeated text runs once, so equal texts get equal rows
             # whatever padding their groups would have had
             unique = {}
-            source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in seqs]
+            source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in inputs]
             emb = encode_pooled(
                 self.params, self.run, [s for _, s in unique.values()],
                 normalize=head is None,
@@ -150,13 +142,8 @@ class DualEncoder(TextEncoder):
         self.params = lora_merge(frozen(result.params), result.config)
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:
-        aware = self.run.section_aware
-        return self._embed(
-            texts,
-            instruction=INSTR_IMAGE.format(section=section) if aware else None,
-            section=section if aware else None,
-            head="proj_text",
-        )
+        seqs = [clip_text_seq(t, self.vocab, self.run, section) for t in texts]
+        return self._embed(seqs, head="proj_text")
 
     def embed_images(self, images) -> np.ndarray:
         return self._embed(images, image=True, head="proj_img")
@@ -456,7 +443,10 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         d = json.loads(text)
-        return cls(d["tasks"], d["config_digest"], d["pool_sizes"], d["notes"])
+        keys = ("tasks", "config_digest", "pool_sizes", "notes")
+        if not isinstance(d, dict) or not set(keys) <= set(d):
+            raise ValueError(f"EvalReport: a report is a JSON object with keys {list(keys)}")
+        return cls(*(d[k] for k in keys))
 
     def table(self) -> str:
         cols = ["task", "@1", "@5", "@10", "acc", "MF1", "EF1"]

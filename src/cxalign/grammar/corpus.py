@@ -8,6 +8,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from ..checkpoint import replacing
 from .image import render_image
 from .render import inject_errors, make_variants, render_report
 from .sampler import sample_latent_study
@@ -95,7 +96,9 @@ def study_from_dict(d: dict) -> RenderedStudy:
 
 
 def write_corpus(studies, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write `studies` as JSON Lines through a temp file that replaces
+    `path` once every line is written (`checkpoint.replacing`)."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         for s in studies:
             fh.write(json.dumps(study_to_dict(s), sort_keys=True) + "\n")
 

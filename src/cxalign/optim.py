@@ -42,18 +42,18 @@ class AdamW:
         return best
 
     def step(self, params: dict[str, Tensor]) -> None:
-        """One update over every requires_grad parameter with a gradient."""
+        """One update over every requires_grad parameter with a gradient.
+        Every gradient is checked first, so a non-finite one raises before
+        any parameter, moment or `t` changes."""
+        live = {n: p for n, p in params.items() if p.requires_grad and p.grad is not None}
+        for name, p in live.items():
+            if not np.all(np.isfinite(p.grad)):
+                raise DivergenceError(f"NaN/inf gradient for parameter {name!r}")
         b1, b2 = BETAS
         self.t += 1
         ct = self.t
-        for name, p in params.items():
-            if not p.requires_grad:
-                continue
+        for name, p in live.items():
             g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"NaN/inf gradient for parameter {name!r}")
             lr = self.lr_for(name) * self.lr_scale
             m = self.m.get(name)
             if m is None:

@@ -309,26 +309,32 @@ def load_stage(dirpath) -> StageResult:
     if ck.config_digest != run.digest():
         raise ValueError(f"{dirpath}: checkpoint config digest mismatch")
     params = ck.params(lambda n: _trains(ck.stage, n))
+    rows = params["text.tok_emb"].shape[0]
+    if len(vocab) != rows:
+        raise ValueError(f"{dirpath}: vocab.txt holds {len(vocab)} tokens but the text tower embeds {rows}")
     opt = AdamW(group_lrs=_stage_lrs(ck.stage, run))
     opt.load_state_arrays(ck.optimizer_arrays())
     return StageResult(ck.stage, params, vocab, run, ck.step, opt)
 
 
-def _check_loss_finite(value: float, stage: str, step: int, result: StageResult, out_path):
+def _check_finite(what: str, value: float, stage: str, step: int, result: StageResult, out_dir):
     if math.isfinite(value):
         return
-    if out_path is not None:
-        result.save(out_path)
+    if out_dir is not None:
+        save_stage(result, out_dir)
     raise DivergenceError(
-        f"{stage}: non-finite loss at step {step}"
-        + (f"; last finite state saved to {out_path}" if out_path else "")
+        f"{stage}: non-finite {what} at step {step}"
+        + (f"; last finite state saved to {out_dir}" if out_dir is not None else "")
     )
 
 
+class ValidationSplitError(ValueError):
+    """A validation split too small to score, refused before any step."""
+
+
 def _require_val(stage: str, n_items: int, need: int) -> None:
-    """Refuse, before any step, a validation split too small to score."""
     if n_items < need:
-        raise ValueError(f"{stage}: validation split of {n_items} items; scoring needs {need}")
+        raise ValidationSplitError(f"{stage}: validation split of {n_items} items; scoring needs {need}")
 
 
 # Batches per shuffling window of `bucketed_batches`.
@@ -412,7 +418,7 @@ def _stage_copy(params) -> dict:
 
 def _train_stage(
     stage: str, run: RunConfig, vocab: Vocabulary, params: dict, n_items: int,
-    batches, step_loss, validate, log_path=None, ckpt_path=None,
+    batches, step_loss, validate, out_dir=None,
     stop_after: int | None = None, resume: StageResult | None = None,
 ) -> StageResult:
     """The training loop of every stage. The stage supplies its parameters,
@@ -424,7 +430,12 @@ def _train_stage(
     graph at a time, and the parts' values are summed in float32 in order.
     The cosine schedule spans epochs × ceil(n_items / batch) steps, batches
     a stage skips included. `resume` continues a partial result;
-    `stop_after` ends before that step.
+    `stop_after` ends before that step and writes nothing. `out_dir`, when
+    given, is the stage's run directory: step and epoch records are
+    appended to its `log.jsonl`, and `save_stage` writes there the finished
+    result, or the last finite state when a loss or gradient norm (found
+    before the step moves a parameter) or a validation loss is not finite;
+    the DivergenceError names the directory, and `load_stage` opens it.
     """
     set_trainable(params, lambda n: _trains(stage, n))
     if resume is not None:
@@ -433,7 +444,9 @@ def _train_stage(
         opt, start_step = resume.optimizer, resume.step
     else:
         opt, start_step = AdamW(group_lrs=_stage_lrs(stage, run)), 0
-    log = TrainLog(log_path)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    log = TrainLog(None if out_dir is None else os.path.join(out_dir, "log.jsonl"))
     result = StageResult(stage, params, vocab, run, start_step, opt, log.records)
     epochs, bs = getattr(run, f"epochs_{stage}"), getattr(run, f"batch_{stage}")
     total_steps = epochs * math.ceil(n_items / bs)
@@ -454,11 +467,12 @@ def _train_stage(
                 loss = None
                 for part in step_loss(batch, step, count):
                     loss = part.data if loss is None else loss + part.data
-                    _check_loss_finite(float(loss), stage, step, result, ckpt_path)
+                    _check_finite("loss", float(loss), stage, step, result, out_dir)
                     backward(part)
                 value = float(loss)
                 _assert_frozen_untouched(params, stage)
                 grad_norm = _grad_norm(params)
+                _check_finite("gradient", grad_norm, stage, step, result, out_dir)
                 opt.lr_scale = _lr_scale(step, total_steps)
                 opt.step(params)
                 log.write(
@@ -473,13 +487,13 @@ def _train_stage(
             # run being resumed
             if start_step == 0 or step > start_step:
                 val = validate()
-                _check_loss_finite(val["val_loss"], stage, step, result, ckpt_path)
+                _check_finite("validation loss", val["val_loss"], stage, step, result, out_dir)
                 epoch_s = time.perf_counter() - epoch_start
                 log.write(
                     stage=stage, epoch=epoch, **val, epoch_s=epoch_s, peak_rss_mb=peak_rss_mb(),
                 )
-        if ckpt_path is not None:
-            result.save(ckpt_path)
+        if out_dir is not None:
+            save_stage(result, out_dir)
         return result
     finally:
         log.close()
@@ -528,8 +542,7 @@ def train_mntp(
     studies,
     run: RunConfig,
     vocab: Vocabulary | None = None,
-    log_path=None,
-    ckpt_path=None,
+    out_dir=None,
     stop_after: int | None = None,
     resume: StageResult | None = None,
 ) -> StageResult:
@@ -571,7 +584,7 @@ def train_mntp(
 
     return _train_stage(
         "mntp", run, vocab, params, len(seqs), batches, step_loss, validate,
-        log_path=log_path, ckpt_path=ckpt_path, stop_after=stop_after, resume=resume,
+        out_dir=out_dir, stop_after=stop_after, resume=resume,
     )
 
 
@@ -618,8 +631,7 @@ def train_contrastive(
     studies,
     run: RunConfig,
     init: StageResult | None = None,
-    log_path=None,
-    ckpt_path=None,
+    out_dir=None,
 ) -> StageResult:
     """Instruction-based supervised contrastive stage. Starts from an MNTP
     result unless `init` is None (cold-start ablation)."""
@@ -657,7 +669,7 @@ def train_contrastive(
 
     return _train_stage(
         "contrastive", run, vocab, params, len(pairs), batches, step_loss, validate,
-        log_path=log_path, ckpt_path=ckpt_path,
+        out_dir=out_dir,
     )
 
 
@@ -671,9 +683,9 @@ def section_text(study, section: str) -> str:
     return study.findings_text if section == "findings" else study.impression_text
 
 
-def clip_text_seq(study, vocab, run: RunConfig, section: str = "findings"):
-    """Token sequence for a report on the alignment side."""
-    text = section_text(study, section)
+def clip_text_seq(text: str, vocab, run: RunConfig, section: str):
+    """Token sequence for a report of `section` on the alignment side: a
+    section-aware run prefixes the image instruction and section token."""
     if run.section_aware:
         return encode(
             text,
@@ -729,8 +741,7 @@ def train_clip(
     studies,
     run: RunConfig,
     text_init: StageResult,
-    log_path=None,
-    ckpt_path=None,
+    out_dir=None,
     section_of=None,
 ) -> StageResult:
     """Image-text alignment: frozen text base, trainable LoRA adapters,
@@ -753,10 +764,11 @@ def train_clip(
     section_of = section_of or (lambda sid: "findings")
 
     def items_for(subset):
-        return [
-            (clip_text_seq(s, vocab, run, section_of(s.study_id)), s.image)
-            for s in subset
-        ]
+        items = []
+        for s in subset:
+            section = section_of(s.study_id)
+            items.append((clip_text_seq(section_text(s, section), vocab, run, section), s.image))
+        return items
 
     train_items = items_for(train_studies)
     val_items = items_for(val_studies)
@@ -779,7 +791,7 @@ def train_clip(
 
     return _train_stage(
         "clip", run, vocab, params, len(train_items), batches, step_loss, validate,
-        log_path=log_path, ckpt_path=ckpt_path,
+        out_dir=out_dir,
     )
 
 

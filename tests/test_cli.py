@@ -202,6 +202,39 @@ def test_refused_run_directory_is_usage_error(workdir, tmp_path, capsys, command
         assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["mntp", "contrastive", "clip"])
+def test_train_too_small_validation_split_is_usage_error(workdir, tmp_path, capsys, stage):
+    corpus, out = tmp_path / "tiny.jsonl", tmp_path / "out"
+    assert main(["gen-corpus", "--n", "3", "--out", str(corpus)]) == 0
+    init = ["--init", str(workdir / "s2")] if stage == "clip" else []
+    rc = main(["train", stage, "--corpus", str(corpus), "--config", str(workdir / "config.json"),
+               *init, "--out", str(out)])
+    assert rc == 2
+    assert f"train {stage}: {stage}: validation split of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diverging_train_leaves_a_resumable_run_directory(workdir, tmp_path, monkeypatch):
+    from cxalign import pipeline
+    from cxalign.autodiff import Tensor
+    from cxalign.optim import DivergenceError
+
+    k, step_parts = 3, pipeline._mntp_parts
+
+    def nan_at_k(params, run, seqs, step, train=True, count=None):
+        yield from step_parts(params, run, seqs, step, train=train, count=count)
+        if train and step == k:
+            yield Tensor(np.nan)
+
+    monkeypatch.setattr(pipeline, "_mntp_parts", nan_at_k)
+    out = tmp_path / "diverged"
+    with pytest.raises(DivergenceError, match=f"step {k}"):
+        main(["train", "mntp", "--corpus", str(workdir / "corpus.jsonl"),
+              "--config", str(workdir / "config.json"), "--out", str(out)])
+    assert {"config.json", "vocab.txt", "model.cxal", "log.jsonl"} <= {p.name for p in out.iterdir()}
+    assert pipeline.load_stage(out).step == k
+
+
 def test_train_outputs_run_directory(workdir):
     for stage_dir in ("s1", "s2", "s3"):
         d = workdir / stage_dir
@@ -292,6 +325,44 @@ def test_report_merges_tables(workdir, tmp_path, capsys):
     table = merged.read_text()
     assert "task1" in table and "task3" in table
     assert table.splitlines()[0].split()[0] == "task"
+
+
+def test_report_unreadable_report_is_usage_error(tmp_path, capsys):
+    """A missing report, one that is not JSON and one without a report's
+    keys end in the reason and exit code 2; exit 1 stays `eval`'s code for
+    an unmet requirement."""
+    not_json, no_keys = tmp_path / "not.json", tmp_path / "keys.json"
+    not_json.write_text("task1 0.5\n")
+    no_keys.write_text(json.dumps({"tasks": {}}))
+    for path, reason in (
+        (tmp_path / "missing.json", "No such file"),
+        (not_json, "Expecting value"),
+        (no_keys, "config_digest"),
+    ):
+        assert main(["report", str(path), "--out", str(tmp_path / "merged.txt")]) == 2
+        assert f"report: {path}: " in (err := capsys.readouterr().err) and reason in err
+    assert not (tmp_path / "merged.txt").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_gen_corpus_refuses_non_positive_n(tmp_path, capsys, n):
+    out = tmp_path / "empty.jsonl"
+    assert main(["gen-corpus", "--n", n, "--out", str(out)]) == 2
+    assert "--n must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_write_that_fails_leaves_the_previous_file(tmp_path):
+    from cxalign.cli import write_manifest
+
+    out = tmp_path / "x.jsonl"
+    path = write_manifest(out, "gen-corpus", {"_started": 0.0, "n": 5}, "", 1, [])
+    before = Path(path).read_bytes()
+    # json.dump has written part of the document when it meets the object
+    with pytest.raises(TypeError):
+        write_manifest(out, "gen-corpus", {"_started": 0.0, "n": object()}, "", 1, [])
+    assert Path(path).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.jsonl.manifest.json"]
 
 
 def test_manifests_record_item_counts(workdir, tmp_path):

@@ -28,7 +28,7 @@ from cxalign.grammar.types import LatentFinding, LatentStudy
 from cxalign.objectives import init_log_tau
 from cxalign.optim import AdamW
 from cxalign.autodiff import l2_normalize
-from cxalign.pipeline import GROUP_ROWS, RunConfig, StageResult, corpus_vocab, encode_pooled
+from cxalign.pipeline import GROUP_ROWS, RunConfig, StageResult, clip_text_seq, corpus_vocab, encode_pooled
 from cxalign.tokenizer import encode
 from cxalign.towers import (
     frozen,
@@ -377,6 +377,23 @@ def test_dual_encoder_folds_lora_within_tolerance():
     assert np.abs(enc.embed(texts) - l2_normalize(adapted).data).max() <= 1e-5
 
 
+def test_section_aware_reports_embed_through_clip_text_seq():
+    """With `section_aware`, a report is tokenised as stage 3 tokenises it,
+    instruction and section token included."""
+    studies = generate_corpus(20, seed=12)
+    run = RunConfig(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4,
+                    section_aware=True)
+    result = _stage3_result(run, studies)
+    texts = [s.impression_text for s in studies]
+    seqs = [clip_text_seq(t, result.vocab, run, "impression") for t in texts]
+    assert seqs[0].ids != encode(texts[0], result.vocab).ids
+    view = lora_merge(frozen(result.params), run)
+    pooled = encode_pooled(view, run, seqs, normalize=False)
+    reports = project(pooled, view["proj_text.w"], view["proj_text.mu"]).data
+    rows = DualEncoder(result).embed_reports(texts, section="impression")
+    assert np.abs(rows - reports).max() <= 1e-5
+
+
 def test_dual_encoder_fold_records_no_tape(monkeypatch):
     """Building an encoder from a result whose adapters still train folds
     over frozen views: no primitive records a tape node."""
@@ -467,7 +484,7 @@ def test_multimodal_eval_embeds_reports_in_its_section(monkeypatch):
     """A section-aware encoder tags impression reports as impressions: every
     report `multimodal_eval(section="impression")` embeds, test and pool
     alike, is encoded with the impression section."""
-    from cxalign import evals
+    from cxalign import pipeline
 
     studies = generate_corpus(20, seed=12)
     run = RunConfig(
@@ -477,11 +494,12 @@ def test_multimodal_eval_embeds_reports_in_its_section(monkeypatch):
     enc = DualEncoder(_stage3_result(run, studies))
     sections = []
 
-    def spy(*args, _orig=evals.encode, **kwargs):
+    # reports are tokenised by `pipeline.clip_text_seq`, as in stage 3
+    def spy(*args, _orig=pipeline.encode, **kwargs):
         sections.append(kwargs.get("section"))
         return _orig(*args, **kwargs)
 
-    monkeypatch.setattr(evals, "encode", spy)
+    monkeypatch.setattr(pipeline, "encode", spy)
     out = multimodal_eval(enc, studies[:8], studies[8:], section="impression")
     assert "recall@1" in out and "macro_f1" in out
     assert sections == ["impression"] * len(studies)

@@ -448,6 +448,21 @@ def test_corpus_round_trip(tmp_path, corpus):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_corpus_write_that_fails_leaves_the_previous_file(tmp_path, corpus):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus[:3], path)
+    before = path.read_bytes()
+
+    def studies():  # fails after two whole lines, at a line boundary
+        yield from corpus[3:5]
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_corpus(studies(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
 def test_malformed_corpus_line_reports_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"not": "a study"}\n')

@@ -56,6 +56,20 @@ def test_nan_gradient_raises_divergence():
     params["w"].grad = np.array([np.nan], dtype=np.float32)
     with pytest.raises(DivergenceError):
         AdamW(group_lrs={"": 0.1}).step(params)
+    # a NaN in a later parameter's gradient leaves the earlier one, its
+    # moments and the step count as they were
+    params = make_params({"a": [1.0], "b": [1.0]})
+    params["a"].grad = np.array([1.0], dtype=np.float32)
+    opt = AdamW(group_lrs={"": 0.1})
+    opt.step(params)
+    before = (params["a"].data.copy(), opt.m["a"].copy(), opt.v["a"].copy(), opt.t)
+    params["b"].grad = np.array([np.nan], dtype=np.float32)
+    with pytest.raises(DivergenceError, match="'b'"):
+        opt.step(params)
+    after = (params["a"].data, opt.m["a"], opt.v["a"], opt.t)
+    for was, now in zip(before, after):
+        np.testing.assert_array_equal(now, was)
+    assert "b" not in opt.m
 
 
 def test_state_round_trip_preserves_trajectory(rng):

@@ -29,7 +29,7 @@ from cxalign.pipeline import (
     StageResult,
     TrainLog,
     _assert_regime,
-    _check_loss_finite,
+    _check_finite,
     _mntp_step_loss,
     bucketed_batches,
     corpus_vocab,
@@ -484,15 +484,17 @@ def test_stage_round_trip_and_digest_check(corpus, tmp_path):
 
 
 def test_training_log_is_jsonl(corpus, tmp_path):
-    log_path = tmp_path / "train.jsonl"
-    train_mntp(corpus, RunConfig(**TINY), log_path=log_path)
-    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    out = tmp_path / "run"
+    train_mntp(corpus, RunConfig(**TINY), out_dir=out)
+    records = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
     steps = [r for r in records if "loss" in r]
     epochs = [r for r in records if "val_loss" in r]
     assert steps and epochs
     assert all(r["stage"] == "mntp" for r in records)
     assert [r["step"] for r in steps] == list(range(len(steps)))
     assert all(np.isfinite(r["loss"]) for r in steps)
+    # the run directory holds the finished result
+    assert load_stage(out).step == len(steps)
 
 
 def test_train_log_appends_records(tmp_path):
@@ -572,20 +574,18 @@ def test_next_stage_leaves_the_previous_result_untouched(corpus):
 
 def test_non_finite_loss_saves_and_raises(corpus, tmp_path):
     result = train_mntp(corpus, RunConfig(**TINY), stop_after=2)
-    out = tmp_path / "last.cxal"
+    out = tmp_path / "last"
     with pytest.raises(DivergenceError, match="non-finite"):
-        _check_loss_finite(float("nan"), "mntp", 9, result, out)
-    ck = load_checkpoint(out)
-    assert ck.stage == "mntp"
-    assert _param_digest(result.params) == _param_digest(
-        {n: t for n, t in ck.params(lambda n: True).items()}
-    )
+        _check_finite("loss", float("nan"), "mntp", 9, result, out)
+    loaded = load_stage(out)
+    assert loaded.stage == "mntp"
+    assert _param_digest(result.params) == _param_digest(loaded.params)
 
 
 def test_finite_loss_passes_through(corpus, tmp_path):
     result = train_mntp(corpus, RunConfig(**TINY), stop_after=1)
-    _check_loss_finite(0.5, "mntp", 0, result, tmp_path / "never.cxal")
-    assert not (tmp_path / "never.cxal").exists()
+    _check_finite("loss", 0.5, "mntp", 0, result, tmp_path / "never")
+    assert not (tmp_path / "never").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +603,63 @@ def test_divergence_checkpoint_records_the_failing_step(corpus, tmp_path, monkey
         return itertools.chain(parts, [Tensor(np.nan)]) if train and step == k else parts
 
     monkeypatch.setattr(pipeline, "_mntp_parts", nan_at_k)
-    out = tmp_path / "diverged.cxal"
+    out = tmp_path / "diverged"
     with pytest.raises(DivergenceError, match=f"step {k}"):
-        train_mntp(corpus, RunConfig(**TINY), ckpt_path=out)
-    ck = load_checkpoint(out)
-    assert ck.step == k == int(ck.arrays["opt.t"][0])
+        train_mntp(corpus, RunConfig(**TINY), out_dir=out)
+    loaded = load_stage(out)
+    assert loaded.step == k == loaded.optimizer.t
     monkeypatch.undo()
     # the saved state is the one an uninterrupted run has before step k
     half = train_mntp(corpus, RunConfig(**TINY), stop_after=k)
-    assert _param_digest(ck.params()) == _param_digest(half.params)
+    assert _param_digest(loaded.params) == _param_digest(half.params)
+
+
+@pytest.mark.parametrize("fault", ["loss", "gradient"])
+def test_divergence_leaves_a_resumable_run_directory(corpus, tmp_path, monkeypatch, fault):
+    """A non-finite loss and a non-finite gradient take one path: the run
+    directory holds the state before step k, and resuming from it into the
+    same directory ends where an uninterrupted run ends, with one log."""
+    k, run = 5, RunConfig(**TINY)
+    step_parts = pipeline._mntp_parts
+
+    def fault_at_k(params, run, seqs, step, train=True, count=None):
+        yield from step_parts(params, run, seqs, step, train=train, count=count)
+        if train and step == k:
+            if fault == "loss":
+                yield Tensor(np.nan)
+            else:  # every part is backed, and the loss is finite
+                params["mntp.b"].grad[0] = np.nan
+
+    monkeypatch.setattr(pipeline, "_mntp_parts", fault_at_k)
+    out = tmp_path / "run"
+    with pytest.raises(DivergenceError, match=f"non-finite {fault} at step {k}") as diverged:
+        train_mntp(corpus, run, out_dir=out)
+    monkeypatch.undo()
+    assert str(out) in str(diverged.value)
+    assert {"config.json", "vocab.txt", "model.cxal", "log.jsonl"} <= {p.name for p in out.iterdir()}
+    saved = load_stage(out)
+    assert saved.step == k
+    assert _param_digest(saved.params) == _param_digest(train_mntp(corpus, run, stop_after=k).params)
+
+    resumed = train_mntp(corpus, run, resume=saved, out_dir=out)
+    full = train_mntp(corpus, run)
+    assert resumed.step == full.step
+    assert _param_digest(resumed.params) == _param_digest(full.params)
+    assert _param_digest(load_stage(out).params) == _param_digest(full.params)
+    records = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in records if "loss" in r] == list(range(full.step))
+    assert [r["val_loss"] for r in records if "val_loss" in r] == [
+        r["val_loss"] for r in full.log if "val_loss" in r
+    ]
+
+
+def test_load_stage_refuses_a_vocabulary_that_does_not_fit(corpus, tmp_path):
+    save_stage(train_mntp(corpus, RunConfig(**TINY), stop_after=0), tmp_path / "run")
+    vocab_file = tmp_path / "run" / "vocab.txt"
+    tokens = vocab_file.read_text().splitlines()
+    vocab_file.write_text("\n".join(tokens + ["zzextra"]) + "\n")
+    with pytest.raises(ValueError, match=f"holds {len(tokens) + 1} tokens but the text tower embeds {len(tokens)}"):
+        load_stage(tmp_path / "run")
 
 
 def test_split_run_logs_each_epoch_once(corpus):
