@@ -5,17 +5,18 @@ A Tensor holds a forward array and, when it requires a gradient, a graph
 function of the primitive application that produced it. `backward(root)`
 replays the nodes in reverse topological order. Tensors have no operators:
 every op is a primitive called by name. The primitive set is fixed: matmul,
-add, mul, scale, a fused affine map (linear), embedding lookup, exp, an
-upper clamp (`minimum_const`), row L2 normalization, cross entropy from
-logits, plus shape plumbing (reshape, transpose, concat, row gather). Three
-fused primitives carry a transformer block in a few nodes: `attention`
-(head split, rotary, scaled and biased softmax, context product and head
-merge), `affine_layer_norm` (layer norm, gain and shift) and `ffn` (linear,
-GELU, linear). Their unfused references (softmax, layer norm, GELU, rotary
-positions, a sum of all elements) are built in `tests/reference_ops.py` on
-this module's math helpers, and each fused primitive gives their results
-bit for bit. A primitive none of whose inputs requires a gradient records
-nothing, so a forward over `towers.frozen` views builds no graph.
+add, mul, scale, a fused affine map (linear), one row gather (`embedding`,
+which refuses out-of-range ids), exp, an upper clamp (`minimum_const`), row
+L2 normalization, cross entropy from logits, plus shape plumbing (reshape,
+transpose, concat). Three fused primitives carry a transformer block in a
+few nodes: `attention` (head split, rotary, scaled and biased softmax,
+context product and head merge), `affine_layer_norm` (layer norm, gain and
+shift) and `ffn` (linear, GELU, linear). Their unfused references (softmax,
+layer norm, GELU, rotary positions, a sum of all elements) are built in
+`tests/reference_ops.py` on this module's math helpers, and each fused
+primitive gives their results bit for bit. A primitive none of whose inputs
+requires a gradient records nothing, so a forward over `towers.frozen`
+views builds no graph.
 
 Saved arrays. A backward function holds only the arrays its backward reads
 (an operand's values only when the other operand needs a gradient), plus
@@ -28,10 +29,9 @@ function has run, the node drops its gradient, its backward function (and
 with it every array that function saved) and its links to its parents,
 and the walk drops its own reference to it. So an activation lives only
 until the gradient has passed through it, and training peaks at about one
-step's saved arrays plus the gradients in flight. Leaves, and any tensor
-passed in `leaves`, keep their gradients. A graph can be differentiated
-once: a later `backward` that reaches a released node raises
-`GraphReleasedError`.
+step's saved arrays plus the gradients in flight. Leaves keep their
+gradients. A graph can be differentiated once: a later `backward` that
+reaches a released node raises `GraphReleasedError`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "reshape",
     "transpose",
     "concat",
-    "take_rows",
     "affine_layer_norm",
     "attention",
     "ffn",
@@ -310,23 +309,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _track(out, tuple(ts), bwd)
 
 
-def take_rows(a, idx) -> Tensor:
-    """Gather rows of a 2-D tensor; gradient scatters back with accumulation."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows: expected 2-D input, got {a.shape}")
-    idx = np.asarray(idx, dtype=np.int64)
-    out = a.data[idx]
-    sa = a.shape
-
-    def bwd(g):
-        ga = np.zeros(sa, dtype=np.float32)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _track(out, (a,), bwd)
-
-
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
     # -inf logits (masked positions) are fine; NaN, +inf, or an all--inf row
@@ -580,8 +562,13 @@ def l2_normalize(a) -> Tensor:
 
 
 def embedding(table, ids) -> Tensor:
-    """Lookup rows of an (V, d) table by an integer id array of any shape."""
+    """Lookup rows of an (V, d) table by an integer id array of any shape;
+    a table that is not 2-D, or an id below 0 or at V or above, raises
+    `ShapeError`. The gradient scatters back with accumulation over
+    repeated ids."""
     table = _as_tensor(table)
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding: expected a 2-D table, got {table.shape}")
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(
@@ -630,14 +617,10 @@ def cross_entropy(logits, targets) -> Tensor:
     return _track(out, (logits,), bwd)
 
 
-def backward(root: Tensor, leaves=None) -> dict:
+def backward(root: Tensor) -> None:
     """Accumulate gradients of a scalar root into every reachable leaf,
     releasing each interior node once its backward function has run (see
-    the module docstring).
-
-    Returns a mapping from leaf to gradient array when `leaves` is given;
-    leaves the root never touched get zeros.
-    """
+    the module docstring)."""
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
     topo: list[Node] = []
@@ -659,7 +642,6 @@ def backward(root: Tensor, leaves=None) -> dict:
                 if p is not None and id(p) not in seen:
                     stack.append((p, False))
         root.node.grad = np.ones_like(root.data)
-    keep = {id(leaf.node) for leaf in leaves} if leaves is not None else set()
     while topo:
         node = topo.pop()
         if node.bwd is None:
@@ -668,17 +650,4 @@ def backward(root: Tensor, leaves=None) -> dict:
             for p, g in zip(node.parents, node.bwd(node.grad)):
                 if p is not None and g is not None:
                     p._accumulate(g)
-        if id(node) not in keep:
-            node.grad = None
-        node.bwd = node.parents = None
-    if leaves is None:
-        return {}
-    out = {}
-    for leaf in leaves:
-        if leaf.node is None:
-            out[id(leaf)] = np.zeros_like(leaf.data)
-            continue
-        if leaf.node.grad is None:
-            leaf.node.grad = np.zeros_like(leaf.data)
-        out[id(leaf)] = leaf.node.grad
-    return out
+        node.grad = node.bwd = node.parents = None

@@ -1,8 +1,9 @@
 """Command-line entry point: gen-corpus | train | embed | eval | report.
 
 Every command writes a manifest (config digest, seed, package versions,
-input digests, wall time, peak memory, and how much work it did) next to
-its outputs so artifacts are reconstructible and their cost is on record."""
+the BLAS build and thread settings, input digests, wall time, peak memory,
+and how much work it did) next to its outputs so artifacts are
+reconstructible and their cost is on record."""
 
 from __future__ import annotations
 
@@ -15,13 +16,17 @@ import sys
 import time
 
 
+# the BLAS thread variables that CXAL_THREADS sets when they are unset
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _cap_threads() -> None:
     """Process settings that must precede numpy: CXAL_THREADS caps BLAS
     parallelism (so heavy modules are imported lazily inside the command
     handlers), and `_keep_freed_memory` pins the allocator."""
     cap = os.environ.get("CXAL_THREADS")
     if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _BLAS_THREAD_VARS:
             os.environ.setdefault(var, cap)
     _keep_freed_memory()
 
@@ -57,6 +62,22 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _blas_record() -> dict:
+    """The BLAS build, the thread variables as set (None when unset) and the
+    CPUs the process may run on: trained bytes differ between thread
+    counts, so a manifest names them."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        library = "unknown"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = {var: os.environ.get(var) for var in ("CXAL_THREADS", *_BLAS_THREAD_VARS)}
+    return {"library": library, "cpus": cpus, **threads}
+
+
 def write_manifest(out_path, command: str, args: dict, config_digest: str, seed, inputs, counts=None) -> str:
     """Write the manifest; `args["_started"]` is the command's start on the
     `time.perf_counter` clock, which `main` sets. `counts` names the work
@@ -80,6 +101,7 @@ def write_manifest(out_path, command: str, args: dict, config_digest: str, seed,
             "numpy": numpy.__version__,
             "cxalign": __version__,
         },
+        "blas": _blas_record(),
         "inputs": {str(p): _sha256_file(p) for p in inputs},
         "wall_s": round(time.perf_counter() - args["_started"], 3),
         "peak_rss_mb": peak_rss_mb(),
@@ -124,6 +146,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     from .grammar.corpus import read_corpus
+    from .optim import DivergenceError
     from .pipeline import ValidationSplitError, load_stage, train_clip, train_contrastive, train_mntp
 
     if args.stage == "mntp" and args.init:
@@ -141,8 +164,11 @@ def cmd_train(args) -> int:
     except (OSError, ValueError) as e:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
+    inputs = [args.corpus] + ([os.path.join(args.init, "model.cxal")] if args.init else [])
     # a split too small to score is refused before the first step and
-    # before the run directory is made; later errors keep their traceback
+    # before the run directory is made; later errors keep their traceback.
+    # A divergence has saved the last finite state: its manifest records
+    # that state's step and the reason.
     try:
         if args.stage == "mntp":
             result = train_mntp(studies, run, out_dir=args.out)
@@ -153,7 +179,12 @@ def cmd_train(args) -> int:
     except ValidationSplitError as e:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
-    inputs = [args.corpus] + ([os.path.join(args.init, "model.cxal")] if args.init else [])
+    except DivergenceError as e:
+        write_manifest(
+            args.out, f"train {args.stage}", vars(args), run.digest(), run.seed, inputs,
+            {"steps": load_stage(args.out).step, "error": str(e)},
+        )
+        raise
     write_manifest(
         args.out, f"train {args.stage}", vars(args), run.digest(), run.seed, inputs,
         {"steps": result.step},

@@ -1,7 +1,8 @@
 """Canned end-to-end experiments: the smoke run and the paired ablations.
 
-These are plain functions so both the acceptance suite and the scripts in
-scripts/ can call them; every run is fully determined by (n, seed, config).
+These are plain functions that return the raw numbers; the acceptance
+suite (`tests/test_acceptance.py`, criteria 7 and 8) holds their thresholds
+and trends. Every run is fully determined by (n, seed, config).
 """
 
 from __future__ import annotations

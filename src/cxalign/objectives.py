@@ -14,13 +14,13 @@ from .autodiff import (
     Tensor,
     add,
     cross_entropy,
+    embedding,
     exp,
     minimum_const,
     matmul,
     mul,
     reshape,
     scale,
-    take_rows,
     transpose,
 )
 from .grammar.render import finding_status, status_sentence
@@ -63,7 +63,7 @@ def mntp_loss(logits: Tensor, targets, mask_positions) -> Tensor:
             raise ValueError("mntp_loss: shifted read position before sequence start")
         rows.append(b * T + pos - 1)
     flat = reshape(logits, (B * T, V))
-    picked = take_rows(flat, np.asarray(rows, dtype=np.int64))
+    picked = embedding(flat, np.asarray(rows, dtype=np.int64))
     return cross_entropy(picked, np.asarray(targets, dtype=np.int64))
 
 

@@ -43,18 +43,22 @@ class AdamW:
 
     def step(self, params: dict[str, Tensor]) -> None:
         """One update over every requires_grad parameter with a gradient.
-        Every gradient is checked first, so a non-finite one raises before
-        any parameter, moment or `t` changes."""
+        Every gradient and learning-rate group is checked first, so a
+        non-finite gradient (`DivergenceError`) or a parameter no group
+        matches (`KeyError`) raises before any parameter, moment or `t`
+        changes."""
         live = {n: p for n, p in params.items() if p.requires_grad and p.grad is not None}
+        lrs = {}
         for name, p in live.items():
             if not np.all(np.isfinite(p.grad)):
                 raise DivergenceError(f"NaN/inf gradient for parameter {name!r}")
+            lrs[name] = self.lr_for(name)
         b1, b2 = BETAS
         self.t += 1
         ct = self.t
         for name, p in live.items():
             g = p.grad
-            lr = self.lr_for(name) * self.lr_scale
+            lr = lrs[name] * self.lr_scale
             m = self.m.get(name)
             if m is None:
                 m = np.zeros_like(p.data)

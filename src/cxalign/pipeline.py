@@ -15,7 +15,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import peak_rss_mb
-from .autodiff import Tensor, add, backward, concat, l2_normalize, linear, scale, take_rows
+from .autodiff import Tensor, add, backward, concat, embedding, l2_normalize, linear, scale
 from .checkpoint import params_to_arrays, replacing, save_checkpoint
 from .objectives import (
     INSTR_IMAGE,
@@ -603,7 +603,7 @@ def encode_pooled(params, run: RunConfig, seqs, normalize=True, count=None):
     pooled = concat(parts) if len(parts) > 1 else parts[0]
     order = np.concatenate(order)
     if np.any(order != np.arange(len(order))):
-        pooled = take_rows(pooled, np.argsort(order))
+        pooled = embedding(pooled, np.argsort(order))
     return l2_normalize(pooled) if normalize else pooled
 
 

@@ -34,7 +34,6 @@ from .autodiff import (
     matmul,
     reshape,
     scale,
-    take_rows,
 )
 from .grammar.image import CANVAS
 from .tokenizer import PAD, SECTION_FINDINGS, SECTION_IMPRESSION, BOS, EOS, UNK
@@ -289,7 +288,7 @@ def vision_forward(params: dict, images: np.ndarray) -> Tensor:
     cls = add(Tensor(np.zeros((B, 1, VISION_DIM), dtype=np.float32)), params["vision.cls"])
     x = concat([cls, x], axis=1)
     T = N_PATCHES + 1
-    x = add(x, take_rows(params["vision.pos_emb"], np.arange(T)))
+    x = add(x, params["vision.pos_emb"])
     h = _blocks(params, "vision", x, None, VISION_HEADS)
     # readout: the mean over all T tokens, the cls token included
     weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)

@@ -233,6 +233,11 @@ def test_diverging_train_leaves_a_resumable_run_directory(workdir, tmp_path, mon
               "--config", str(workdir / "config.json"), "--out", str(out)])
     assert {"config.json", "vocab.txt", "model.cxal", "log.jsonl"} <= {p.name for p in out.iterdir()}
     assert pipeline.load_stage(out).step == k
+    # the manifest records the step the saved state was reached at and why
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "train mntp"
+    assert manifest["steps"] == k
+    assert manifest["error"] == f"mntp: non-finite loss at step {k}; last finite state saved to {out}"
 
 
 def test_train_outputs_run_directory(workdir):
@@ -350,6 +355,30 @@ def test_gen_corpus_refuses_non_positive_n(tmp_path, capsys, n):
     assert main(["gen-corpus", "--n", n, "--out", str(out)]) == 2
     assert "--n must be at least 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifests_name_the_blas_build_and_thread_settings(workdir, tmp_path, monkeypatch):
+    """Trained bytes depend on the BLAS thread count, so every manifest
+    records the BLAS build, the thread variables as set and the CPU count."""
+    monkeypatch.delenv("CXAL_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "x.jsonl"
+    assert main(["gen-corpus", "--n", "5", "--out", str(out)]) == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["blas"] == {
+        "library": f"{blas['name']} {blas['version']}",
+        "cpus": len(os.sched_getaffinity(0)),
+        "CXAL_THREADS": None,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "2",
+        "MKL_NUM_THREADS": None,
+    }
+    for stage_dir in ("s1", "s2", "s3"):
+        record = json.loads((workdir / stage_dir / "manifest.json").read_text())["blas"]
+        assert set(record) == {"library", "cpus", "CXAL_THREADS", "OPENBLAS_NUM_THREADS",
+                               "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 def test_manifest_write_that_fails_leaves_the_previous_file(tmp_path):

@@ -42,6 +42,23 @@ def test_unmatched_parameter_rejected():
         opt.lr_for("vision.w")
 
 
+def test_unmatched_parameter_raises_before_any_update():
+    """A parameter that matches no group raises before an earlier one, its
+    moments or the step count move."""
+    params = make_params({"text.a": [1.0], "vision.b": [1.0]})
+    params["text.a"].grad = np.array([1.0], dtype=np.float32)
+    opt = AdamW(group_lrs={"text.": 0.1})
+    opt.step(params)
+    before = (params["text.a"].data.copy(), opt.m["text.a"].copy(), opt.v["text.a"].copy(), opt.t)
+    params["vision.b"].grad = np.array([1.0], dtype=np.float32)
+    with pytest.raises(KeyError, match="vision.b"):
+        opt.step(params)
+    after = (params["text.a"].data, opt.m["text.a"], opt.v["text.a"], opt.t)
+    for was, now in zip(before, after):
+        np.testing.assert_array_equal(now, was)
+    assert "vision.b" not in opt.m and "vision.b" not in opt.v
+
+
 def test_frozen_and_gradless_params_untouched():
     params = make_params({"a": [1.0], "b": [1.0]})
     params["a"].requires_grad = False
