@@ -9,14 +9,23 @@ add, mul, scale, a fused affine map (linear), one row gather (`embedding`,
 which refuses out-of-range ids), exp, an upper clamp (`minimum_const`), row
 L2 normalization, cross entropy from logits, plus shape plumbing (reshape,
 transpose, concat). Three fused primitives carry a transformer block in a
-few nodes: `attention` (head split, rotary, scaled and biased softmax,
-context product and head merge), `affine_layer_norm` (layer norm, gain and
-shift) and `ffn` (linear, GELU, linear). Their unfused references (softmax,
-layer norm, GELU, rotary positions, a sum of all elements) are built in
-`tests/reference_ops.py` on this module's math helpers, and each fused
-primitive gives their results bit for bit. A primitive none of whose inputs
-requires a gradient records nothing, so a forward over `towers.frozen`
-views builds no graph.
+few nodes: `attention` (one whole self-attention sublayer: the q, k and v
+projections, head split, rotary, scaled and biased softmax, context product,
+head merge and the output projection), `affine_layer_norm` (layer norm,
+gain and shift) and `ffn` (linear, GELU, linear). Their unfused references
+(softmax, layer norm, GELU, rotary positions, a sum of all elements) are
+built in `tests/reference_ops.py` on this module's math helpers, and each
+fused primitive gives the results of its chain of `linear`s and references
+bit for bit. A primitive none of whose inputs requires a gradient records
+nothing, so a forward over `towers.frozen` views builds no graph.
+
+Finite checks. `linear`, `matmul`, `ffn` and `attention` scan their input,
+their weights and each activation between their GEMMs for NaN and inf, and
+raise `NonFiniteError`. A Tensor made by `constant` was scanned once, when
+it was made, and is marked `verified`: those four primitives skip its scan.
+Only `constant` marks a Tensor; a primitive's output, a raw array and any
+other Tensor are scanned on every call. `towers.frozen` builds its views
+with `constant`, so a frozen encoder's weights are scanned once per build.
 
 Saved arrays. A backward function holds only the arrays its backward reads
 (an operand's values only when the other operand needs a gradient), plus
@@ -46,6 +55,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "GraphReleasedError",
+    "constant",
     "add",
     "mul",
     "scale",
@@ -82,7 +92,7 @@ class GraphReleasedError(RuntimeError):
 def _check_finite(a: np.ndarray, what: str) -> None:
     # min+max reductions instead of isfinite().all(): no bool temporary, and
     # any NaN/inf propagates into the sum
-    if a.size and not np.isfinite(float(a.min()) + float(a.max())):
+    if a.size and not math.isfinite(float(a.min()) + float(a.max())):
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -109,13 +119,15 @@ class Node:
 
 class Tensor:
     """A dense float32 array, and its graph node when it requires a
-    gradient (`node is None` otherwise)."""
+    gradient (`node is None` otherwise). `verified` is set only by
+    `constant`, whose scan the primitives then skip."""
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data", "node", "verified")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
         self.node = Node() if requires_grad else None
+        self.verified = False
 
     @property
     def shape(self):
@@ -145,6 +157,22 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def constant(data, what: str) -> Tensor:
+    """A gradient-free Tensor over `data` (no copy), scanned for non-finite
+    values here, once, and marked `verified`: `linear`, `matmul`, `ffn` and
+    `attention` skip the scan for it. The caller must not write into `data`
+    while the Tensor is in use; `NonFiniteError` names `what`."""
+    t = Tensor(data)
+    _check_finite(t.data, what)
+    t.verified = True
+    return t
+
+
+def _check_operand(t: Tensor, what: str) -> None:
+    if not t.verified:
+        _check_finite(t.data, what)
 
 
 def _as_tensor(x) -> Tensor:
@@ -227,8 +255,8 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[0 if b.data.ndim == 1 else -2]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} incompatible")
-    _check_finite(a.data, "matmul lhs")
-    _check_finite(b.data, "matmul rhs")
+    _check_operand(a, "matmul lhs")
+    _check_operand(b, "matmul rhs")
     out = a.data @ b.data
     sa, sb = a.shape, b.shape
     # a frozen or constant operand gets no gradient, and its partner's
@@ -255,8 +283,8 @@ def linear(x, w, b) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} incompatible")
-    _check_finite(x.data, "linear lhs")
-    _check_finite(w.data, "linear rhs")
+    _check_operand(x, "linear lhs")
+    _check_operand(w, "linear rhs")
     k, n = w.shape
     rows = x.data.reshape(-1, k)
     out = rows @ w.data
@@ -315,8 +343,10 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     # is not: the per-row max catches each case
     if not np.isfinite(m).all():
         raise NonFiniteError("softmax: NaN/+inf logits or a fully masked row")
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -427,8 +457,8 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         raise ShapeError(
             f"ffn: shapes {x.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape} incompatible"
         )
-    _check_finite(x.data, "linear lhs")
-    _check_finite(w1.data, "linear rhs")
+    _check_operand(x, "linear lhs")
+    _check_operand(w1, "linear rhs")
     k, n = w1.shape[0], w2.shape[1]
     rows = x.data.reshape(-1, k)
     pre = rows @ w1.data
@@ -436,7 +466,7 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     t = _gelu_tanh(pre)
     act = _gelu_from_tanh(pre, t)
     _check_finite(act, "linear lhs")
-    _check_finite(w2.data, "linear rhs")
+    _check_operand(w2, "linear rhs")
     out = act @ w2.data
     out += b2.data
     x_shape = x.shape
@@ -461,44 +491,70 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     return _track(out.reshape(x_shape[:-1] + (n,)), (x, w1, b1, w2, b2), bwd)
 
 
+# Rotary tables hold the sines with their first half negated, so a turn
+# is one swap of halves and no negated copy: (-a) s == a (-s) exactly.
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     half = x.shape[-1] // 2
-    return x * cos + np.concatenate([-x[..., half:], x[..., :half]], axis=-1) * sin
+    out = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+    out *= sin
+    out += x * cos
+    return out
 
 
 def _rotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     half = g.shape[-1] // 2
     gs = g * sin
-    return g * cos + np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
+    return g * cos + np.concatenate([gs[..., half:], gs[..., :half]], axis=-1)
 
 
-def attention(q, k, v, heads: int, cos=None, sin=None, bias=None) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, cos, sin, bias) -> Tensor:
+    """A multi-head self-attention sublayer as one node: the query, key and
+    value projections of `x`, scaled dot-product attention over `heads`
+    heads, and the output projection.
 
-    `q`, `k` and `v` are (B, T, d) and split into `heads` heads of d/heads
-    features. Queries and keys turn by rotary positions when the (T, d/heads)
-    tables `cos` and `sin` are given. `bias`, when given, is a constant
-    array added to the (B, heads, T, T) scores, broadcastable to them. The
-    heads' contexts merge back to (B, T, d). The arithmetic is the unfused
-    chain's, op for op, so results match it bit for bit. Backward keeps only
-    the attention probabilities and the rotated, split q, k and v."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
-        raise ShapeError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} with {heads} heads")
-    B, T, d = q.shape
+    `x` is (B, T, d), the four weights (d, d) and the biases (d,). Queries
+    and keys turn by rotary positions when the (T, d/heads) tables `cos` and
+    `sin` (sines sign-folded, as `towers.rotary_tables` gives them) are not
+    None. `bias`, when not None, is a constant array added to the (B, heads,
+    T, T) scores, broadcastable to them. The arithmetic is that of three
+    `linear`s, the attention chain and one more `linear`, op for op, so
+    values and gradients match that chain bit for bit.
+
+    Backward keeps the probabilities, the rotated, split q, k and v, and wo
+    only when q, k or v needs a gradient; x's rows only when an input
+    weight needs one; the input weights only when x needs one; and the
+    context rows only when wo needs one. It drops the gradient of q, of k
+    and of v as soon as that projection's gradients are formed."""
+    operands = [_as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo)]
+    x, wq, bq, wk, bk, wv, bv, wo, bo = operands
+    shapes = [t.data.shape for t in operands]
+    d = shapes[0][-1] if shapes[0] else 0
+    # weights at the odd places, biases at the even ones after x
+    if len(shapes[0]) != 3 or d % heads or shapes[1::2] != [(d, d)] * 4 or shapes[2::2] != [(d,)] * 4:
+        raise ShapeError(f"attention: shapes {shapes} with {heads} heads")
+    B, T, d = x.shape
     dh = d // heads
     c = np.float32(1.0 / math.sqrt(dh))
 
-    def split(x):
-        return np.transpose(x.reshape(B, T, heads, dh), (0, 2, 1, 3))
+    def split(a):
+        return np.transpose(a.reshape(B, T, heads, dh), (0, 2, 1, 3))
 
-    def merge(x):
-        return np.transpose(x, (0, 2, 1, 3)).reshape(B, T, d)
+    def merge(a):
+        return np.transpose(a, (0, 2, 1, 3)).reshape(B, T, d)
 
     def unrotate(g):
         return _rotate_grad(g, cos, sin) if cos is not None else g
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    _check_operand(x, "attention input")
+    rows = x.data.reshape(-1, d)
+
+    def project(w, b):
+        _check_operand(w, "attention weight")
+        out = rows @ w.data
+        out += b.data
+        return split(out)
+
+    qh, kh, vh = project(wq, bq), project(wk, bk), project(wv, bv)
     if cos is not None:
         qh, kh = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
     scores = qh @ np.transpose(kh, (0, 1, 3, 2))
@@ -506,23 +562,60 @@ def attention(q, k, v, heads: int, cos=None, sin=None, bias=None) -> Tensor:
     if bias is not None:
         scores += bias
     probs = _softmax_rows(scores)
-    out = merge(probs @ vh)
-    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    ctx = merge(probs @ vh).reshape(-1, d)
+    _check_finite(ctx, "attention context")
+    _check_operand(wo, "attention weight")
+    out = ctx @ wo.data
+    out += bo.data
+
+    # need[0] is x's; need[1 + 2i] and need[2 + 2i] are projection i's
+    # weight and bias, for q, k, v and the output in turn
+    need = [t.node is not None for t in operands]
+    # q, k and v need a gradient when x or their own projection does
+    need_q, need_k, need_v = (need[0] or need[1 + 2 * i] or need[2 + 2 * i] for i in range(3))
+    xv = rows if need[1] or need[3] or need[5] else None
+    w_in = [wq.data, wk.data, wv.data] if need[0] else None
+    wov = wo.data if need_q or need_k or need_v else None
+    cv = ctx if need[7] else None
+    if wov is None:
+        probs = qh = kh = vh = None
 
     def bwd(g):
-        g = split(g)
-        dq = dk = dv = None
-        if need_q or need_k:
-            gs = _softmax_grad(probs, g @ np.swapaxes(vh, -1, -2)) * c
-            if need_q:
-                dq = merge(unrotate(gs @ kh))
-            if need_k:
-                dk = merge(unrotate(np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2))))
-        if need_v:
-            dv = merge(np.swapaxes(probs, -1, -2) @ g)
-        return dq, dk, dv
+        g = g.reshape(-1, d)
+        grads = [None] * 9  # in `operands` order
+        grads[7] = cv.T @ g if cv is not None else None
+        grads[8] = g.sum(axis=0) if need[8] else None
+        if wov is None:
+            return grads
+        gc = split(g @ wov.T)
 
-    return _track(out, (q, k, v), bwd)
+        def project_back(i, dp):
+            # one input projection's backward; x's gradient sums q's, k's
+            # and v's in that order, the order the unfused graph adds them
+            dp = dp.reshape(-1, d)
+            if w_in is not None:
+                gx = dp @ w_in[i].T
+                if grads[0] is None:
+                    grads[0] = gx
+                else:
+                    grads[0] += gx
+            grads[1 + 2 * i] = xv.T @ dp if need[1 + 2 * i] else None
+            grads[2 + 2 * i] = dp.sum(axis=0) if need[2 + 2 * i] else None
+
+        if need_q or need_k:
+            gs = _softmax_grad(probs, gc @ np.swapaxes(vh, -1, -2)) * c
+            if need_q:
+                project_back(0, merge(unrotate(gs @ kh)))
+            if need_k:
+                project_back(1, merge(unrotate(np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2)))))
+            del gs
+        if need_v:
+            project_back(2, merge(np.swapaxes(probs, -1, -2) @ gc))
+        if grads[0] is not None:
+            grads[0] = grads[0].reshape(B, T, d)
+        return grads
+
+    return _track(out.reshape(B, T, d), operands, bwd)
 
 
 def exp(a) -> Tensor:

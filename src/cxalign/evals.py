@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import concat
+from .autodiff import concat, constant
 from .grammar.labels import extract_labels
 from .grammar.render import render_report
 from .grammar.types import KINDS
@@ -82,19 +82,38 @@ def recall_at_k(ranked: list, truth: list, ks=RECALL_KS) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _snapshot(params: dict) -> dict:
+    """Gradient-free views of read-only copies of `params`' arrays, each
+    scanned for non-finite values once, here, as `towers.frozen` scans
+    (`autodiff.constant`): no later write into `params` reaches the copies,
+    and a write into a copy raises."""
+    views = {}
+    for name, p in params.items():
+        a = p.data.copy()
+        a.flags.writeable = False
+        views[name] = constant(a, name)
+    return views
+
+
 class TextEncoder:
     """Embeds texts with a trained text tower (no projection: text-only
     tasks compare reports in the tower's own pooled space).
 
-    Inference is tape-free: the encoder holds `frozen` views of the
-    parameters. Distinct texts run once each, batched by
-    `pipeline.encode_pooled`'s length groups; rows come back in input
-    order."""
+    Inference is tape-free: the encoder holds `frozen` views of read-only
+    copies of the result's parameters (`_snapshot`), so a NaN weight raises
+    `NonFiniteError` at the build, and training the result further in place
+    does not reach an encoder built before. Distinct texts run once each,
+    batched by `pipeline.encode_pooled`'s length groups; rows come back in
+    input order."""
 
     def __init__(self, result: StageResult):
-        self.params = frozen(result.params)
+        self.params = _snapshot(self._weights(result))
         self.vocab = result.vocab
         self.run = result.config
+
+    @staticmethod
+    def _weights(result: StageResult) -> dict:
+        return result.params
 
     def embed(self, texts, instruction=None) -> np.ndarray:
         return self._embed([
@@ -132,14 +151,13 @@ class TextEncoder:
 class DualEncoder(TextEncoder):
     """Adds the projection heads and vision tower from a stage-3 result.
 
-    The LoRA adapters fold into the text base once, here, by stage 3's own
-    merge over frozen views (no tape), so a query runs no adapter branch.
-    The folded weights are copies: training the result further in place
-    does not reach an encoder built before."""
+    The LoRA adapters fold into the text base once, at the build, by stage
+    3's own merge over frozen views (no tape), so a query runs no adapter
+    branch; the snapshot holds the folded weights."""
 
-    def __init__(self, result: StageResult):
-        super().__init__(result)
-        self.params = lora_merge(frozen(result.params), result.config)
+    @staticmethod
+    def _weights(result: StageResult) -> dict:
+        return lora_merge(frozen(result.params), result.config)
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:
         seqs = [clip_text_seq(t, self.vocab, self.run, section) for t in texts]

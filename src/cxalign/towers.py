@@ -27,6 +27,7 @@ from .autodiff import (
     affine_layer_norm,
     attention,
     concat,
+    constant,
     embedding,
     ffn,
     l2_normalize,
@@ -161,27 +162,22 @@ def lora_merge(params: dict, run) -> dict:
     return merged
 
 
-def _linear(params, name, x):
-    prefix, w = name.rsplit(".", 1)
-    return linear(x, params[name], params[f"{prefix}.b{w[1]}"])
-
-
 @lru_cache(maxsize=None)
 def rotary_tables(T: int, dh: int) -> tuple:
-    """(T, dh) cosines and sines of the rotary angles t * 10000**(-2i/dh)."""
+    """(T, dh) cosines and sign-folded sines of the rotary angles
+    t * 10000**(-2i/dh): the sines' first half is negated, the form
+    `autodiff.attention` turns queries and keys by."""
     freqs = 10000.0 ** (-np.arange(0, dh, 2, dtype=np.float64) / dh)
     angles = np.outer(np.arange(T), freqs)
-    angles = np.concatenate([angles, angles], axis=1)
-    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    sin = np.sin(angles).astype(np.float32)
+    cos = np.cos(np.concatenate([angles, angles], axis=1)).astype(np.float32)
+    return cos, np.concatenate([-sin, sin], axis=1)
 
 
 def _attention(params, prefix, x, bias, heads, rope):
-    q = _linear(params, f"{prefix}.wq", x)
-    k = _linear(params, f"{prefix}.wk", x)
-    v = _linear(params, f"{prefix}.wv", x)
     cos, sin = rotary_tables(x.shape[1], x.shape[2] // heads) if rope else (None, None)
-    ctx = attention(q, k, v, heads, cos, sin, bias)
-    return _linear(params, f"{prefix}.wo", ctx)
+    p = [params[f"{prefix}.{n}"] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    return attention(x, *p, heads, cos, sin, bias)
 
 
 def _ffn(params, prefix, x):
@@ -312,8 +308,11 @@ def trainable_names(params: dict) -> list:
 def frozen(params: dict) -> dict:
     """Gradient-free views of `params` for forwards that are never
     differentiated: each view wraps the same array (no copy) with
-    `requires_grad=False`, so no primitive records a tape entry."""
-    return {name: Tensor(p.data) for name, p in params.items()}
+    `requires_grad=False`, so no primitive records a tape entry. Each array
+    is scanned for non-finite values once, here (`NonFiniteError` names
+    the parameter), and the primitives skip the scan for its view; so no
+    array may be written while its view is in use."""
+    return {name: constant(p.data, name) for name, p in params.items()}
 
 
 def set_trainable(params: dict, predicate) -> None:

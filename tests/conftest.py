@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cxalign import towers
-from cxalign.autodiff import Tensor
+from cxalign.autodiff import Tensor, linear
 
-from reference_ops import gelu
+from reference_ops import gelu, unfused_attention
 
 
 @pytest.fixture
@@ -38,24 +38,29 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 def unfolded_lora_forward(params, run, ids):
     """Reference for the LoRA fold: the text forward with each adapted
     weight's adapter run beside it, x@W + b + alpha/r * (x@A)@B, instead of
-    folded into W (values only, no tape). The FFN runs unfused, so its two
-    weights go through the adapted map too."""
-    base_linear = towers._linear
+    folded into W (values only, no tape). The attention sublayer and the
+    FFN run unfused, so each of their weights goes through the adapted map."""
     scaling = run.lora_alpha / run.lora_rank
 
     def adapted_linear(p, name, x):
-        out = base_linear(p, name, x)
+        prefix, w = name.rsplit(".", 1)
+        out = linear(x, p[name], p[f"{prefix}.b{w[1]}"])
         a_key = f"lora.{name}.A"
         if a_key not in p:
             return out
         a, b = p[a_key].data, p[f"lora.{name}.B"].data
         return Tensor(out.data + scaling * ((x.data @ a) @ b))
 
+    def adapted_attention(p, prefix, x, bias, heads, rope):
+        q, k, v = (adapted_linear(p, f"{prefix}.{w}", x) for w in ("wq", "wk", "wv"))
+        cos, sin = towers.rotary_tables(x.shape[1], x.shape[2] // heads) if rope else (None, None)
+        return adapted_linear(p, f"{prefix}.wo", unfused_attention(q, k, v, heads, cos, sin, bias))
+
     def adapted_ffn(p, prefix, x):
         return adapted_linear(p, f"{prefix}.w2", gelu(adapted_linear(p, f"{prefix}.w1", x)))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(towers, "_linear", adapted_linear)
+        mp.setattr(towers, "_attention", adapted_attention)
         mp.setattr(towers, "_ffn", adapted_ffn)
         return towers.text_forward(params, run, ids)
 

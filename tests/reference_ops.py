@@ -2,12 +2,14 @@
 `affine_layer_norm` and `ffn` must reproduce bit for bit, plus a scalar sum
 for building test losses. The program runs none of them, so they live with
 the tests. Each is one graph node over autodiff's own math helpers, so a
-reference and its fused op share every float operation."""
+reference and its fused op share every float operation; `unfused_attention`
+chains them with autodiff's own primitives."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from cxalign import autodiff as ad
 from cxalign.autodiff import (
     Tensor,
     _as_tensor,
@@ -72,8 +74,9 @@ def gelu(a) -> Tensor:
 
 def rotary(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary position embedding over the last axis, rotate-half layout:
-    feature pairs (i, i + d/2) turn by the angles whose cosines and sines
-    are the constant arrays `cos` and `sin` (broadcastable to `a`)."""
+    feature pairs (i, i + d/2) turn by the angles whose cosines and
+    sign-folded sines (first half negated, as `towers.rotary_tables` gives
+    them) are the constant arrays `cos` and `sin`, broadcastable to `a`."""
     a = _as_tensor(a)
     out = _rotate(a.data, cos, sin)
 
@@ -81,3 +84,23 @@ def rotary(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         return (_rotate_grad(g, cos, sin),)
 
     return _track(out, (a,), bwd)
+
+
+def unfused_attention(q, k, v, heads, cos=None, sin=None, bias=None) -> Tensor:
+    """Multi-head attention over projected (B, T, d) queries, keys and
+    values as a chain of primitives: head split, rotary, scaled and biased
+    softmax, context product and head merge."""
+    B, T, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    if cos is not None:
+        q, k = rotary(q, cos, sin), rotary(k, cos, sin)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    if bias is not None:
+        scores = ad.add(scores, Tensor(bias))
+    ctx = ad.matmul(softmax(scores), v)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, d))

@@ -12,7 +12,7 @@ from cxalign import autodiff as ad
 from cxalign.autodiff import Tensor, backward
 
 from conftest import finite_difference, graph_bytes, rel_error
-from reference_ops import gelu, layer_norm, rotary, softmax, sum_
+from reference_ops import gelu, layer_norm, rotary, softmax, sum_, unfused_attention
 
 
 def leaf(rng, *shape):
@@ -351,24 +351,6 @@ def test_softmax_gradient_property(rows, cols, seed):
 # ---------------------------------------------------------------------------
 
 
-def _unfused_attention(q, k, v, heads, cos=None, sin=None, bias=None):
-    """The attention chain as separate primitives."""
-    B, T, d = q.shape
-    dh = d // heads
-
-    def split(t):
-        return ad.transpose(ad.reshape(t, (B, T, heads, dh)), (0, 2, 1, 3))
-
-    q, k, v = split(q), split(k), split(v)
-    if cos is not None:
-        q, k = rotary(q, cos, sin), rotary(k, cos, sin)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    if bias is not None:
-        scores = ad.add(scores, Tensor(bias))
-    ctx = ad.matmul(softmax(scores), v)
-    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, d))
-
-
 def _attention_case(bias_kind, rope, B=2, T=5, d=8, heads=2):
     from cxalign.tokenizer import PAD
     from cxalign.towers import attention_bias, rotary_tables
@@ -385,59 +367,174 @@ def _attention_case(bias_kind, rope, B=2, T=5, d=8, heads=2):
 
 
 _ATTENTION_CASES = [(b, r) for b in ("none", "pad", "causal") for r in (True, False)]
+_ATTENTION_OPERANDS = ("x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def _attention_leaves(r, shape, frozen=()):
+    """x and the four projections' weights and biases of a sublayer over a
+    (B, T, d) input, in `attention`'s order; the operands named in `frozen`
+    require no gradient. Weights at std 0.5 keep the softmax unsaturated."""
+    d = shape[-1]
+    shapes = {"x": shape, **{n: (d, d) if n[0] == "w" else (d,) for n in _ATTENTION_OPERANDS[1:]}}
+    return [
+        Tensor(
+            (r.normal(size=s) * (0.5 if name[0] == "w" else 1.0)).astype(np.float32),
+            requires_grad=name not in frozen,
+        )
+        for name, s in shapes.items()
+    ]
+
+
+def _attend(operands, kw):
+    return ad.attention(*operands, kw["heads"], kw["cos"], kw["sin"], kw["bias"])
+
+
+def _attend_unfused(operands, kw):
+    """The sublayer as three `linear`s, the unfused attention chain and one
+    more `linear`."""
+    x, wq, bq, wk, bk, wv, bv, wo, bo = operands
+    q, k, v = ad.linear(x, wq, bq), ad.linear(x, wk, bk), ad.linear(x, wv, bv)
+    return ad.linear(unfused_attention(q, k, v, **kw), wo, bo)
 
 
 @pytest.mark.parametrize("bias_kind,rope", _ATTENTION_CASES)
 def test_attention_gradients(rng, bias_kind, rope):
+    """Finite-difference gradients for x and all eight projection operands."""
     shape, kw = _attention_case(bias_kind, rope)
-    q, k, v = leaf(rng, *shape), leaf(rng, *shape), leaf(rng, *shape)
+    operands = _attention_leaves(rng, shape)
     probe = Tensor(rng.normal(size=shape).astype(np.float32))
-    check_grad(lambda t: sum_(ad.mul(ad.attention(t, k, v, **kw), probe)), q, tol=5e-3)
-    check_grad(lambda t: sum_(ad.mul(ad.attention(q, t, v, **kw), probe)), k, tol=5e-3)
-    check_grad(lambda t: sum_(ad.mul(ad.attention(q, k, t, **kw), probe)), v, tol=5e-3)
+    for i, operand in enumerate(operands):
+        def build(t, i=i):
+            args = list(operands)
+            args[i] = t
+            return sum_(ad.mul(_attend(args, kw), probe))
+
+        if rope or _ATTENTION_OPERANDS[i] != "bk":
+            check_grad(build, operand, tol=5e-3)
+            continue
+        # unrotated, bk shifts each score row by a constant, which softmax
+        # ignores: its gradient is zero, so compare absolutely
+        operand.grad = None
+        backward(build(operand))
+        numeric = finite_difference(
+            lambda a: float(build(Tensor(a.astype(np.float32))).data), operand.data.astype(np.float64)
+        )
+        assert np.abs(operand.grad).max() < 1e-5 and np.abs(numeric).max() < 5e-3
+
+
+# stages 1 and 2 train every operand; stage 3 trains the merged text weights
+# but no text bias, and its first layer's input comes from the frozen
+# embedding table; "output" trains only the output projection
+_ATTENTION_FROZEN = {
+    "none": (),
+    "stage3": ("bq", "bk", "bv", "bo"),
+    "stage3-first": ("x", "bq", "bk", "bv", "bo"),
+    "output": ("x", "wq", "bq", "wk", "bk", "wv", "bv"),
+}
 
 
 @pytest.mark.parametrize("bias_kind,rope", _ATTENTION_CASES)
 def test_attention_matches_unfused_chain(bias_kind, rope):
-    """Same values and gradients as the chain of primitives, bit for bit."""
+    """Same values and gradients as the chain of three `linear`s, the
+    attention primitives and one more `linear`, bit for bit, with every
+    operand trained and with each frozen subset of `_ATTENTION_FROZEN`; a
+    frozen operand gets no gradient."""
     shape, kw = _attention_case(bias_kind, rope, B=3, T=7, d=16, heads=4)
     probe = Tensor(np.random.default_rng(2).normal(size=shape).astype(np.float32))
-    results = []
-    for op in (ad.attention, _unfused_attention):
-        r = np.random.default_rng(1)
-        q, k, v = leaf(r, *shape), leaf(r, *shape), leaf(r, *shape)
-        y = op(q, k, v, **kw)
-        backward(sum_(ad.mul(y, probe)))
-        results.append([y.data, q.grad, k.grad, v.grad])
-    for fused, ref in zip(*results):
-        np.testing.assert_array_equal(fused, ref)
+    for frozen in _ATTENTION_FROZEN.values():
+        results = []
+        for op in (_attend, _attend_unfused):
+            operands = _attention_leaves(np.random.default_rng(1), shape, frozen)
+            y = op(operands, kw)
+            backward(sum_(ad.mul(y, probe)))
+            results.append([y.data] + [t.grad for t in operands])
+        for fused, ref in zip(*results):
+            if ref is None:
+                assert fused is None
+            else:
+                np.testing.assert_array_equal(fused, ref)
+        assert sum(g is None for g in results[0][1:]) == len(frozen)
 
 
 def test_attention_records_one_node_and_skips_frozen_operands(rng):
-    q, k = leaf(rng, 1, 4, 8), leaf(rng, 1, 4, 8)
-    v = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
-    y = ad.attention(q, k, v, heads=2)
-    assert y.node.parents == (q.node, k.node, None)
+    shape, kw = _attention_case("none", False, B=1, T=4)
+    operands = _attention_leaves(rng, shape, frozen=("wv", "bo"))
+    y = _attend(operands, kw)
+    assert y.node.parents == tuple(t.node for t in operands)
+    assert y.node.parents[5] is None and y.node.parents[8] is None
     backward(sum_(y))
-    assert v.grad is None and q.grad is not None and k.grad is not None
-    frozen = ad.attention(Tensor(q.data), Tensor(k.data), v, heads=2)
+    grads = dict(zip(_ATTENTION_OPERANDS, (t.grad for t in operands)))
+    assert grads.pop("wv") is None and grads.pop("bo") is None
+    assert all(g is not None for g in grads.values())
+    frozen = _attend([Tensor(t.data) for t in operands], kw)
     assert not frozen.requires_grad and frozen.node is None
 
 
 def test_attention_rejects_bad_input(rng):
-    q = leaf(rng, 1, 4, 8)
+    shape, kw = _attention_case("none", False, B=1, T=4)
+    operands = _attention_leaves(rng, shape)
+    for i, name in enumerate(_ATTENTION_OPERANDS):
+        bad = list(operands)
+        wrong = (1, 4, 6) if name == "x" else (8, 6) if name[0] == "w" else (6,)
+        bad[i] = leaf(rng, *wrong)
+        with pytest.raises(ad.ShapeError):
+            _attend(bad, kw)
     with pytest.raises(ad.ShapeError):
-        ad.attention(q, q, leaf(rng, 1, 3, 8), heads=2)
+        _attend([leaf(rng, 4, 8)] + operands[1:], kw)
     with pytest.raises(ad.ShapeError):
-        ad.attention(q, q, q, heads=3)
+        _attend(operands, dict(kw, heads=3))
     masked = np.zeros((1, 1, 4, 4), dtype=np.float32)
     masked[..., 2, :] = -np.inf
     with pytest.raises(ad.NonFiniteError):
-        ad.attention(q, q, q, heads=2, bias=masked)
-    bad = q.data.copy()
-    bad[0, 1, 3] = np.nan
+        _attend(operands, dict(kw, bias=masked))
+    for i in (0, 1, 7):
+        bad = list(operands)
+        bad[i] = Tensor(operands[i].data.copy())
+        bad[i].data.flat[5] = np.nan if i == 0 else np.inf
+        with pytest.raises(ad.NonFiniteError):
+            _attend(bad, kw)
+
+
+def test_constant_operands_skip_the_scan(rng, monkeypatch):
+    """A `constant` is scanned once, when made; `linear`, `matmul`, `ffn`
+    and `attention` then skip it, but still scan their inputs, their
+    activations and every Tensor that `constant` did not make."""
+    scanned = []
+
+    def spy(a, what, _orig=ad._check_finite):
+        scanned.append(what)
+        return _orig(a, what)
+
+    monkeypatch.setattr(ad, "_check_finite", spy)
+    bad = np.ones((4, 4), dtype=np.float32)
+    bad[1, 2] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="text.l0.wq"):
+        ad.constant(bad, "text.l0.wq")
+    shape, kw = _attention_case("pad", True, B=1, T=4)
+    operands = _attention_leaves(rng, shape)
+    x = operands[0].data
+    consts = [ad.constant(t.data, "w") for t in operands[1:]]
+    assert all(c.verified for c in consts) and scanned == ["text.l0.wq"] + ["w"] * 8
+    calls = {
+        "linear": lambda ws: ad.linear(x, ws[0], ws[1]),
+        "matmul": lambda ws: ad.matmul(x, ws[0]),
+        "ffn": lambda ws: ad.ffn(x, ws[0], ws[1], ws[2], ws[3]),
+        "attention": lambda ws: _attend([x] + ws, kw),
+    }
+    # input only; input and activation; input and context
+    expected_const = {"linear": 1, "matmul": 1, "ffn": 2, "attention": 2}
+    for name, call in calls.items():
+        for ws, expected in ((consts, expected_const[name]), (operands[1:], None)):
+            scanned.clear()
+            out = call(ws)
+            assert not out.verified
+            plain = {"linear": 2, "matmul": 2, "ffn": 4, "attention": 6}[name]
+            assert len(scanned) == (plain if expected is None else expected), (name, scanned)
+    # a verified weight is not a licence for a NaN input
+    nan_x = x.copy()
+    nan_x[0, 0, 0] = np.nan
     with pytest.raises(ad.NonFiniteError):
-        ad.attention(Tensor(bad), q, q, heads=2)
+        _attend([nan_x] + consts, kw)
 
 
 def _ffn_leaves(r, shape, frozen=()):

@@ -11,6 +11,7 @@ from cxalign.evals import (
     EmbeddingIndex,
     EvalReport,
     JUDGE_WEIGHTS,
+    TextEncoder,
     entity_f1,
     hash_embeddings,
     judge_eval,
@@ -27,9 +28,9 @@ from cxalign.grammar.render import render_report
 from cxalign.grammar.types import LatentFinding, LatentStudy
 from cxalign.objectives import init_log_tau
 from cxalign.optim import AdamW
-from cxalign.autodiff import l2_normalize
+from cxalign.autodiff import NonFiniteError, ShapeError, l2_normalize
 from cxalign.pipeline import GROUP_ROWS, RunConfig, StageResult, clip_text_seq, corpus_vocab, encode_pooled
-from cxalign.tokenizer import encode
+from cxalign.tokenizer import UnknownTokenError, encode
 from cxalign.towers import (
     frozen,
     init_lora,
@@ -434,16 +435,49 @@ def _count_calls(monkeypatch, fn):
 
 def test_batch1_query_node_budget(monkeypatch):
     """A batch-1 query of the default 2-layer towers runs one node per
-    attention sublayer, per FFN and per layer norm, and no adapter branch:
-    28 nodes and 28 finite checks per report (120 and 84 with unfolded
-    adapters and the unfused chain), 33 nodes and 30 checks per image (73
-    and 38)."""
+    attention sublayer, per FFN and per layer norm, and no adapter branch,
+    and scans no weight: 20 nodes and 11 array scans per report, 24 and 12
+    per image (28 and 28, and 32 and 30, with a five-node attention
+    sublayer and every weight scanned on every call)."""
     studies = generate_corpus(4, seed=13)
     enc = DualEncoder(_stage3_result(RunConfig(), studies))
     report = _count_calls(monkeypatch, lambda: enc.embed_reports([studies[0].findings_text]))
     image = _count_calls(monkeypatch, lambda: enc.embed_images([studies[0].image]))
-    assert report["nodes"] <= 28 and report["checks"] <= 28, report
-    assert image["nodes"] <= 33 and image["checks"] <= 30, image
+    assert report["nodes"] <= 20 and report["checks"] <= 11, report
+    assert image["nodes"] <= 24 and image["checks"] <= 12, image
+
+
+def test_encoders_fail_with_typed_errors_and_hold_their_own_weights():
+    """Bad queries end in typed errors at the encoder API; a NaN weight in
+    the result raises at the build; a write into the result after the build
+    does not reach the encoder, and a write into the encoder raises."""
+    studies = generate_corpus(4, seed=13)
+    run = RunConfig(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4)
+    result = _stage3_result(run, studies)
+    enc = DualEncoder(result)
+    image = studies[0].image.astype(np.float32)
+    for value in (np.nan, np.inf):
+        bad = image.copy()
+        bad[3, 5] = value
+        with pytest.raises(NonFiniteError):
+            enc.embed_images([bad])
+    with pytest.raises(ShapeError):
+        enc.embed_images([np.zeros((64, 65), dtype=np.float32)])
+    with pytest.raises(UnknownTokenError):
+        enc.embed_reports(["zzyzx opacity"])
+    with pytest.raises(ValueError, match="no eligible positions"):
+        enc.embed_reports([""])
+
+    report, picture = enc.embed_reports([studies[0].findings_text]), enc.embed_images([image])
+    for name in ("text.l0.wq", "lora.text.l0.wk.B", "vision.l0.w1", "proj_img.w"):
+        result.params[name].data[0, 0] = np.nan
+    np.testing.assert_array_equal(enc.embed_reports([studies[0].findings_text]), report)
+    np.testing.assert_array_equal(enc.embed_images([image]), picture)
+    with pytest.raises(ValueError, match="read-only"):
+        enc.params["text.l0.wq"].data[0, 0] = 0.0
+    for encoder in (DualEncoder, TextEncoder):
+        with pytest.raises(NonFiniteError):
+            encoder(result)
 
 
 def test_embed_rows_follow_input_order(dual_encoder):

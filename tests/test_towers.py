@@ -95,10 +95,14 @@ def test_absent_bias_equals_zero_bias_bit_for_bit():
     from cxalign.autodiff import attention
 
     rng = np.random.default_rng(4)
-    q, k, v = (Tensor(rng.normal(size=(2, 65, 64)).astype(np.float32)) for _ in range(3))
+    x = Tensor(rng.normal(size=(2, 65, 64)).astype(np.float32))
+    proj = [
+        Tensor((rng.normal(size=s) * 0.1).astype(np.float32))
+        for _ in range(4) for s in ((64, 64), (64,))
+    ]
     zero = np.zeros((1, 1, 65, 65), dtype=np.float32)
     np.testing.assert_array_equal(
-        attention(q, k, v, 4).data, attention(q, k, v, 4, bias=zero).data
+        attention(x, *proj, 4, None, None, None).data, attention(x, *proj, 4, None, None, zero).data
     )
 
 
