@@ -24,8 +24,8 @@ their weights and each activation between their GEMMs for NaN and inf, and
 raise `NonFiniteError`. A Tensor made by `constant` was scanned once, when
 it was made, and is marked `verified`: those four primitives skip its scan.
 Only `constant` marks a Tensor; a primitive's output, a raw array and any
-other Tensor are scanned on every call. `towers.frozen` builds its views
-with `constant`, so a frozen encoder's weights are scanned once per build.
+other Tensor are scanned on every call. `towers.frozen` and the `evals`
+encoders build their weights with `constant`, so each is scanned once.
 
 Saved arrays. A backward function holds only the arrays its backward reads
 (an operand's values only when the other operand needs a gradient), plus

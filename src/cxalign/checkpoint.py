@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-
 MAGIC = b"CXAL"
 VERSION = 1
 
@@ -27,17 +25,7 @@ class Checkpoint:
     stage: str
     step: int
     config_digest: str
-    arrays: dict  # name -> np.float32 ndarray
-
-    def params(self, requires_grad=lambda name: True) -> dict:
-        return {
-            n: Tensor(a.copy(), requires_grad=bool(requires_grad(n)))
-            for n, a in self.arrays.items()
-            if not n.startswith("opt.")
-        }
-
-    def optimizer_arrays(self) -> dict:
-        return {n: a.copy() for n, a in self.arrays.items() if n.startswith("opt.")}
+    arrays: dict  # name -> np.float32 ndarray, each its own writable array
 
 
 def params_to_arrays(params: dict) -> dict:

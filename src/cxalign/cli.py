@@ -204,6 +204,7 @@ def _encoder_for(ckpt_dir):
 def cmd_embed(args) -> int:
     import numpy as np
 
+    from .checkpoint import replacing
     from .grammar.corpus import read_corpus
 
     try:
@@ -222,7 +223,10 @@ def cmd_embed(args) -> int:
         matrix = encoder.embed_reports([s.findings_text for s in studies])
     else:
         matrix = encoder.embed([s.findings_text for s in studies])
-    np.savez(args.out, ids=np.array(ids), matrix=matrix)
+    # numpy's naming rule: a path without the .npz suffix gains it
+    target = args.out if args.out.endswith(".npz") else args.out + ".npz"
+    with replacing(target) as fh:
+        np.savez(fh, ids=np.array(ids), matrix=matrix)
     write_manifest(
         args.out, "embed", vars(args), result.config.digest(), result.config.seed, [args.corpus],
         {"items": len(ids)},
@@ -254,6 +258,7 @@ EVAL_TASKS = {
 
 def cmd_eval(args) -> int:
     from . import evals
+    from .checkpoint import replacing
     from .grammar.corpus import read_corpus
     from .pipeline import split_corpus
 
@@ -274,7 +279,7 @@ def cmd_eval(args) -> int:
         config_digest=result.config.digest(),
         pool_sizes={"train": len(train), "val": len(val)},
     )
-    with open(args.out, "w") as fh:
+    with replacing(args.out, "w") as fh:
         fh.write(report.to_json() + "\n")
     write_manifest(
         args.out, f"eval {task}", vars(args), result.config.digest(), result.config.seed,
@@ -294,6 +299,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .checkpoint import replacing
     from .evals import EvalReport
 
     tasks, notes, digests = {}, [], []
@@ -310,7 +316,7 @@ def cmd_report(args) -> int:
     merged = EvalReport(tasks, config_digest=",".join(sorted(set(digests))), notes=notes)
     table = merged.table()
     if args.out:
-        with open(args.out, "w") as fh:
+        with replacing(args.out, "w") as fh:
             fh.write(table + "\n")
         write_manifest(args.out, "report", vars(args), merged.config_digest, None, args.reports)
     print(table)

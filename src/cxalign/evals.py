@@ -18,7 +18,7 @@ from .grammar.types import KINDS
 from .objectives import INSTR_SUMMARIZE
 from .pipeline import GROUP_ROWS, StageResult, clip_text_seq, encode_pooled, section_text
 from .tokenizer import encode
-from .towers import frozen, lora_merge, project, vision_forward
+from .towers import lora_merge, project, vision_forward
 
 RECALL_KS = (1, 5, 10)
 
@@ -82,67 +82,45 @@ def recall_at_k(ranked: list, truth: list, ks=RECALL_KS) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(params: dict) -> dict:
-    """Gradient-free views of read-only copies of `params`' arrays, each
-    scanned for non-finite values once, here, as `towers.frozen` scans
-    (`autodiff.constant`): no later write into `params` reaches the copies,
-    and a write into a copy raises."""
-    views = {}
-    for name, p in params.items():
-        a = p.data.copy()
-        a.flags.writeable = False
-        views[name] = constant(a, name)
-    return views
-
-
 class TextEncoder:
     """Embeds texts with a trained text tower (no projection: text-only
     tasks compare reports in the tower's own pooled space).
 
-    Inference is tape-free: the encoder holds `frozen` views of read-only
-    copies of the result's parameters (`_snapshot`), so a NaN weight raises
-    `NonFiniteError` at the build, and training the result further in place
-    does not reach an encoder built before. Distinct texts run once each,
+    Inference is tape-free. The build scans a read-only copy of each of the
+    result's arrays once (`autodiff.constant`): a NaN weight raises
+    `NonFiniteError` there, and training the result further in place does
+    not reach an encoder built before. Distinct texts run once each,
     batched by `pipeline.encode_pooled`'s length groups; rows come back in
     input order."""
 
     def __init__(self, result: StageResult):
-        self.params = _snapshot(self._weights(result))
+        self.params = {}
+        for name, p in result.params.items():
+            a = p.data.copy()
+            a.flags.writeable = False
+            self.params[name] = constant(a, name)
         self.vocab = result.vocab
         self.run = result.config
-
-    @staticmethod
-    def _weights(result: StageResult) -> dict:
-        return result.params
 
     def embed(self, texts, instruction=None) -> np.ndarray:
         return self._embed([
             encode(t, self.vocab, instruction=instruction, max_len=self.run.max_len) for t in texts
         ])
 
-    def _embed(self, inputs, image=False, head=None):
-        """(N, d) rows for token sequences, or for images when `image` is
-        set, in input order. `head` names the projection ("proj_text",
-        "proj_img") that maps rows into the shared space; without one,
-        pooled text rows are L2-normalized."""
+    def _embed(self, seqs, head=None):
+        """(N, d) rows for token sequences, in input order. `head` names the
+        projection ("proj_text") that maps rows into the shared space;
+        without one, pooled rows are L2-normalized."""
         dim = self.params[f"{head}.w"].shape[1] if head else self.run.model_dim
-        if not len(inputs):
+        if not seqs:
             return np.empty((0, dim), dtype=np.float32)
-        if image:
-            emb = concat([
-                vision_forward(self.params, images=np.stack(inputs[i : i + GROUP_ROWS]))
-                for i in range(0, len(inputs), GROUP_ROWS)
-            ])
-            source = np.arange(len(inputs))
-        else:
-            # a repeated text runs once, so equal texts get equal rows
-            # whatever padding their groups would have had
-            unique = {}
-            source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in inputs]
-            emb = encode_pooled(
-                self.params, self.run, [s for _, s in unique.values()],
-                normalize=head is None,
-            )
+        # a repeated text runs once, so equal texts get equal rows whatever
+        # padding their groups would have had
+        unique = {}
+        source = [unique.setdefault(tuple(s.ids), (len(unique), s))[0] for s in seqs]
+        emb = encode_pooled(
+            self.params, self.run, [s for _, s in unique.values()], normalize=head is None,
+        )
         if head is not None:
             emb = project(emb, self.params[f"{head}.w"], self.params[f"{head}.mu"])
         return emb.data[np.asarray(source, dtype=np.int64)]
@@ -152,19 +130,34 @@ class DualEncoder(TextEncoder):
     """Adds the projection heads and vision tower from a stage-3 result.
 
     The LoRA adapters fold into the text base once, at the build, by stage
-    3's own merge over frozen views (no tape), so a query runs no adapter
-    branch; the snapshot holds the folded weights."""
+    3's own merge over the snapshot (no tape), so a query runs no adapter
+    branch. The fold's outputs are new arrays; each is marked read-only and
+    scanned once, and the unfolded weights stay the snapshot's."""
 
-    @staticmethod
-    def _weights(result: StageResult) -> dict:
-        return lora_merge(frozen(result.params), result.config)
+    def __init__(self, result: StageResult):
+        super().__init__(result)
+        merged = lora_merge(self.params, self.run)
+        for name, p in merged.items():
+            if p is not self.params[name]:
+                p.data.flags.writeable = False
+                merged[name] = constant(p.data, name)
+        self.params = merged
 
     def embed_reports(self, texts, section="findings") -> np.ndarray:
         seqs = [clip_text_seq(t, self.vocab, self.run, section) for t in texts]
         return self._embed(seqs, head="proj_text")
 
     def embed_images(self, images) -> np.ndarray:
-        return self._embed(images, image=True, head="proj_img")
+        """(N, d) projected rows of images, run through the vision tower in
+        chunks of `GROUP_ROWS`, in input order."""
+        w, mu = self.params["proj_img.w"], self.params["proj_img.mu"]
+        if not len(images):
+            return np.empty((0, w.shape[1]), dtype=np.float32)
+        emb = concat([
+            vision_forward(self.params, images=np.stack(images[i : i + GROUP_ROWS]))
+            for i in range(0, len(images), GROUP_ROWS)
+        ])
+        return project(emb, w, mu).data
 
 
 def hash_embeddings(keys, dim: int = 64, salt: str = "") -> np.ndarray:

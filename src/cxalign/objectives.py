@@ -40,9 +40,10 @@ def init_log_tau() -> Tensor:
 
 
 def inverse_tau(log_tau) -> Tensor:
-    """1/tau with tau clamped to >= TAU_MIN (gradient stops when clamped)."""
+    """1/tau with tau clamped to >= TAU_MIN (gradient stops when clamped),
+    in float32 for a float log-temperature too."""
     if isinstance(log_tau, (int, float)):
-        return Tensor(np.array([1.0 / max(math.exp(log_tau), TAU_MIN)], dtype=np.float32))
+        log_tau = Tensor(np.array([log_tau], dtype=np.float32))
     return minimum_const(exp(scale(log_tau, -1.0)), 1.0 / TAU_MIN)
 
 

@@ -11,6 +11,8 @@ from .autodiff import Tensor
 
 BETAS = (0.9, 0.999)
 EPS = 1e-8
+# The name prefix of every optimizer-state array in a checkpoint
+STATE_PREFIX = "opt."
 
 
 class DivergenceError(RuntimeError):
@@ -81,18 +83,17 @@ class AdamW:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flatten optimizer state for checkpointing."""
-        out: dict[str, np.ndarray] = {"opt.t": np.asarray([self.t], dtype=np.float32)}
+        out: dict[str, np.ndarray] = {f"{STATE_PREFIX}t": np.asarray([self.t], dtype=np.float32)}
         for name, arr in self.m.items():
-            out[f"opt.m.{name}"] = arr
+            out[f"{STATE_PREFIX}m.{name}"] = arr
         for name, arr in self.v.items():
-            out[f"opt.v.{name}"] = arr
+            out[f"{STATE_PREFIX}v.{name}"] = arr
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["opt.t"][0])
-        self.m = {
-            k[len("opt.m.") :]: v.copy() for k, v in arrays.items() if k.startswith("opt.m.")
-        }
-        self.v = {
-            k[len("opt.v.") :]: v.copy() for k, v in arrays.items() if k.startswith("opt.v.")
-        }
+        """Restore the state `state_arrays` flattened, from copies of the
+        `STATE_PREFIX` entries of `arrays`; other entries are ignored."""
+        self.t = int(arrays[f"{STATE_PREFIX}t"][0])
+        m, v = f"{STATE_PREFIX}m.", f"{STATE_PREFIX}v."
+        self.m = {k[len(m) :]: a.copy() for k, a in arrays.items() if k.startswith(m)}
+        self.v = {k[len(v) :]: a.copy() for k, a in arrays.items() if k.startswith(v)}

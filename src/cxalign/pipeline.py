@@ -27,7 +27,7 @@ from .objectives import (
     mntp_text_pool,
     supcon_loss,
 )
-from .optim import AdamW, DivergenceError
+from .optim import STATE_PREFIX, AdamW, DivergenceError
 from .tokenizer import (
     PAD,
     Vocabulary,
@@ -300,6 +300,8 @@ def save_stage(result: StageResult, dirpath) -> None:
 
 
 def load_stage(dirpath) -> StageResult:
+    """Open a run directory: the checkpoint's arrays become the parameters,
+    uncopied, and the optimizer reads its own state from them."""
     from .checkpoint import load_checkpoint
 
     with open(os.path.join(dirpath, "config.json")) as fh:
@@ -308,12 +310,16 @@ def load_stage(dirpath) -> StageResult:
     ck = load_checkpoint(os.path.join(dirpath, "model.cxal"))
     if ck.config_digest != run.digest():
         raise ValueError(f"{dirpath}: checkpoint config digest mismatch")
-    params = ck.params(lambda n: _trains(ck.stage, n))
+    params = {
+        n: Tensor(a, requires_grad=_trains(ck.stage, n))
+        for n, a in ck.arrays.items()
+        if not n.startswith(STATE_PREFIX)
+    }
     rows = params["text.tok_emb"].shape[0]
     if len(vocab) != rows:
         raise ValueError(f"{dirpath}: vocab.txt holds {len(vocab)} tokens but the text tower embeds {rows}")
     opt = AdamW(group_lrs=_stage_lrs(ck.stage, run))
-    opt.load_state_arrays(ck.optimizer_arrays())
+    opt.load_state_arrays(ck.arrays)
     return StageResult(ck.stage, params, vocab, run, ck.step, opt)
 
 
@@ -473,11 +479,12 @@ def _train_stage(
                 _assert_frozen_untouched(params, stage)
                 grad_norm = _grad_norm(params)
                 _check_finite("gradient", grad_norm, stage, step, result, out_dir)
+                tau = _tau(params)  # the one this step's loss used
                 opt.lr_scale = _lr_scale(step, total_steps)
                 opt.step(params)
                 log.write(
                     step=step, stage=stage, loss=value,
-                    lr=opt.group_lrs[""] * opt.lr_scale, tau=_tau(params),
+                    lr=opt.group_lrs[""] * opt.lr_scale, tau=tau,
                     tokens=count.tokens, pad_tokens=count.pad_tokens,
                     grad_norm=grad_norm, step_s=time.perf_counter() - step_start,
                 )
@@ -797,8 +804,8 @@ def train_clip(
 
 def _clip_val(params, run, val_items) -> dict:
     """Validation loss plus recall@{1,5,10} of image→report retrieval, both
-    from one projection of each batch of `params`, the merged frozen view
-    that `evals.DualEncoder` also serves."""
+    from one projection of each batch of `params`, the merged frozen view;
+    `evals.DualEncoder` serves the same fold of the same weights."""
     bs = run.batch_clip
     total, count = 0.0, 0
     t_rows, v_rows = [], []

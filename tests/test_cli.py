@@ -394,6 +394,42 @@ def test_manifest_write_that_fails_leaves_the_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.jsonl.manifest.json"]
 
 
+def test_artifact_write_that_fails_leaves_the_previous_file(workdir, tmp_path, monkeypatch):
+    """`embed`, `eval` and `report --out` write their artifact on a temp
+    file: a write that fails part way leaves the previous artifact
+    byte-identical and no temp file behind."""
+    from cxalign import evals
+
+    class Unwritable:
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    class Torn(str):
+        def __add__(self, other):
+            raise OSError("disk full")
+
+    corpus = str(workdir / "corpus.jsonl")
+    report = tmp_path / "t1.json"
+    cases = (
+        # np.savez has written the ids when it meets the matrix
+        (tmp_path / "emb.npz", ["embed", "--ckpt", str(workdir / "s2"), "--corpus", corpus],
+         evals.TextEncoder, "embed", lambda self, texts, instruction=None: Unwritable()),
+        (report, ["eval", "--task", "task1", "--ckpt", str(workdir / "s2"), "--corpus", corpus],
+         evals.EvalReport, "to_json", lambda self: Torn("{")),
+        (tmp_path / "table.txt", ["report", str(report)],
+         evals.EvalReport, "table", lambda self: Torn("task")),
+    )
+    for out, command, owner, attr, fault in cases:
+        assert main([*command, "--out", str(out)]) == 0
+        before = out.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, fault)
+            with pytest.raises(OSError, match="disk full"):
+                main([*command, "--out", str(out)])
+        assert out.read_bytes() == before, command[0]
+        assert not list(tmp_path.glob("*.tmp")), command[0]
+
+
 def test_manifests_record_item_counts(workdir, tmp_path):
     from cxalign.grammar.corpus import read_corpus
     from cxalign.pipeline import split_corpus

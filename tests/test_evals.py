@@ -447,6 +447,38 @@ def test_batch1_query_node_budget(monkeypatch):
     assert image["nodes"] <= 24 and image["checks"] <= 12, image
 
 
+def test_dual_encoder_build_scans_each_array_once(monkeypatch):
+    """A build scans each of the result's arrays once, as it copies it, and
+    each weight the adapters fold into once more: 12 with the default
+    towers. A `TextEncoder` build scans each array once."""
+    studies = generate_corpus(4, seed=13)
+    result = _stage3_result(RunConfig(), studies)
+    folded = [n for n in result.params if n.startswith("lora.") and n.endswith(".A")]
+    assert len(folded) == 12
+    dual = _count_calls(monkeypatch, lambda: DualEncoder(result))
+    assert dual["checks"] == len(result.params) + len(folded)
+    assert _count_calls(monkeypatch, lambda: TextEncoder(result))["checks"] == len(result.params)
+
+
+def test_saved_run_directory_embeds_as_the_result_it_was_saved_from(tmp_path):
+    """`save_stage`, then `load_stage`: both encoders built on the loaded
+    result give the in-memory result's rows bit for bit."""
+    from cxalign.pipeline import load_stage, save_stage
+
+    studies = generate_corpus(12, seed=14)
+    run = RunConfig(layers=1, model_dim=32, heads=2, ffn_dim=64, shared_dim=16, lora_rank=4)
+    result = _stage3_result(run, studies)
+    save_stage(result, tmp_path / "s3")
+    loaded = load_stage(tmp_path / "s3")
+    texts = [s.findings_text for s in studies]
+    images = [s.image for s in studies]
+    for encoder in (TextEncoder, DualEncoder):
+        np.testing.assert_array_equal(encoder(loaded).embed(texts), encoder(result).embed(texts))
+    here, there = DualEncoder(result), DualEncoder(loaded)
+    np.testing.assert_array_equal(there.embed_reports(texts), here.embed_reports(texts))
+    np.testing.assert_array_equal(there.embed_images(images), here.embed_images(images))
+
+
 def test_encoders_fail_with_typed_errors_and_hold_their_own_weights():
     """Bad queries end in typed errors at the encoder API; a NaN weight in
     the result raises at the build; a write into the result after the build

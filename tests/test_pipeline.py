@@ -756,3 +756,24 @@ def test_step_records_time_and_gradient_norm(corpus, monkeypatch):
     peaks = [r["peak_rss_mb"] for r in epochs]
     assert peaks[0] > 0 and peaks == sorted(peaks)
     assert not any("peak_rss_mb" in r for r in steps)
+
+
+def test_clip_step_records_the_temperature_their_loss_applied(corpus, monkeypatch):
+    """A stage-3 step record's `tau` is the temperature that step's
+    `clip_loss` divided its similarities by, bit for bit: read before the
+    optimizer moves it, through the loss's own float32 `inverse_tau`."""
+    from cxalign.objectives import inverse_tau
+
+    applied = []
+
+    def spy(v_emb, t_emb, log_tau, _orig=pipeline.clip_loss):
+        if log_tau.requires_grad:  # a training step, not validation
+            applied.append(1.0 / float(inverse_tau(Tensor(log_tau.data.copy())).data[0]))
+        return _orig(v_emb, t_emb, log_tau)
+
+    monkeypatch.setattr(pipeline, "clip_loss", spy)
+    run = RunConfig(**TINY)
+    r3 = train_clip(corpus, run, text_init=train_contrastive(corpus, run))
+    taus = [r["tau"] for r in r3.log if "loss" in r]
+    assert len(set(applied)) > 1, "the temperature never moved"
+    assert taus == applied
