@@ -147,7 +147,9 @@ def cmd_gen_corpus(args) -> int:
 def cmd_train(args) -> int:
     from .grammar.corpus import read_corpus
     from .optim import DivergenceError
-    from .pipeline import ValidationSplitError, load_stage, train_clip, train_contrastive, train_mntp
+    from .pipeline import (
+        InitStageError, ValidationSplitError, load_stage, train_clip, train_contrastive, train_mntp,
+    )
 
     if args.stage == "mntp" and args.init:
         print("train mntp: --init is not accepted (stage 1 starts fresh)", file=sys.stderr)
@@ -165,8 +167,9 @@ def cmd_train(args) -> int:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
     inputs = [args.corpus] + ([os.path.join(args.init, "model.cxal")] if args.init else [])
-    # a split too small to score is refused before the first step and
-    # before the run directory is made; later errors keep their traceback.
+    # a split too small to score, or an --init of the wrong stage, is
+    # refused before the first step and before the run directory is made;
+    # later errors keep their traceback.
     # A divergence has saved the last finite state: its manifest records
     # that state's step and the reason.
     try:
@@ -176,7 +179,7 @@ def cmd_train(args) -> int:
             result = train_contrastive(studies, run, init=init, out_dir=args.out)
         else:
             result = train_clip(studies, run, text_init=init, out_dir=args.out)
-    except ValidationSplitError as e:
+    except (ValidationSplitError, InitStageError) as e:
         print(f"train {args.stage}: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:
@@ -201,11 +204,16 @@ def _encoder_for(ckpt_dir):
     return (DualEncoder(result) if result.stage == "clip" else TextEncoder(result)), result
 
 
+def _unknown_word(error, args) -> str:
+    return f"the word {error.args[0]!r} from {args.corpus} is not in the vocabulary of {args.ckpt}"
+
+
 def cmd_embed(args) -> int:
     import numpy as np
 
     from .checkpoint import replacing
     from .grammar.corpus import read_corpus
+    from .tokenizer import UnknownTokenError
 
     try:
         encoder, result = _encoder_for(args.ckpt)
@@ -219,10 +227,13 @@ def cmd_embed(args) -> int:
             print("embed --side image needs a stage-3 (clip) checkpoint", file=sys.stderr)
             return 2
         matrix = encoder.embed_images([s.image for s in studies])
-    elif result.stage == "clip":
-        matrix = encoder.embed_reports([s.findings_text for s in studies])
     else:
-        matrix = encoder.embed([s.findings_text for s in studies])
+        texts = [s.findings_text for s in studies]
+        try:
+            matrix = encoder.embed_reports(texts) if result.stage == "clip" else encoder.embed(texts)
+        except UnknownTokenError as e:
+            print(f"embed: {_unknown_word(e, args)}", file=sys.stderr)
+            return 2
     # numpy's naming rule: a path without the .npz suffix gains it
     target = args.out if args.out.endswith(".npz") else args.out + ".npz"
     with replacing(target) as fh:
@@ -261,6 +272,7 @@ def cmd_eval(args) -> int:
     from .checkpoint import replacing
     from .grammar.corpus import read_corpus
     from .pipeline import split_corpus
+    from .tokenizer import UnknownTokenError
 
     try:
         encoder, result = _encoder_for(args.ckpt)
@@ -273,7 +285,17 @@ def cmd_eval(args) -> int:
     if task == "multimodal" and result.stage != "clip":
         print("eval multimodal needs a stage-3 (clip) checkpoint", file=sys.stderr)
         return 2
-    metrics = EVAL_TASKS[task](evals, encoder, train, val)
+    # every task scores the validation split; task5 also retrieves from the
+    # training pool
+    empty = "validation split" if not val else "training pool" if task == "task5" and not train else None
+    if empty:
+        print(f"eval {task}: the {empty} of {args.corpus} is empty", file=sys.stderr)
+        return 2
+    try:
+        metrics = EVAL_TASKS[task](evals, encoder, train, val)
+    except UnknownTokenError as e:
+        print(f"eval {task}: {_unknown_word(e, args)}", file=sys.stderr)
+        return 2
     report = evals.EvalReport(
         {task: metrics},
         config_digest=result.config.digest(),

@@ -37,7 +37,6 @@ from .tokenizer import (
 )
 from .towers import (
     VISION_DIM,
-    eligible_mask,
     frozen,
     init_lora,
     init_projection,
@@ -204,16 +203,18 @@ def corpus_vocab(studies) -> Vocabulary:
     return build_vocab(texts)
 
 
-def pad_batch(seqs) -> tuple[np.ndarray, list]:
-    """Right-pad token sequences to a (B, T) id matrix plus their
-    instruction spans."""
+def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token sequences to a (B, T) id matrix, plus the (B, T)
+    boolean mask of each row's `content_range()`, the positions pooling
+    averages."""
     T = max(len(s.ids) for s in seqs)
     ids = np.full((len(seqs), T), PAD, dtype=np.int64)
-    spans = []
+    content = np.zeros((len(seqs), T), dtype=bool)
     for b, s in enumerate(seqs):
         ids[b, : len(s.ids)] = s.ids
-        spans.append(s.instruction_span)
-    return ids, spans
+        lo, hi = s.content_range()
+        content[b, lo:hi] = True
+    return ids, content
 
 
 # Rows per text forward. Every text forward, in training and at inference,
@@ -233,18 +234,18 @@ class TokenCount:
 def length_groups(params, run, seqs, count=None):
     """Run `seqs` through the text tower in length-sorted groups.
 
-    Yields `(idx, ids, spans, hidden)` per group: the group's indices into
-    `seqs`, its padded id matrix and instruction spans, and its (g, T, d)
-    hidden states. The sort is stable, so a list already in length order
+    Yields `(idx, content, hidden)` per group: the group's indices into
+    `seqs`, its (g, T) content mask (`pad_batch`), and its (g, T, d) hidden
+    states. The sort is stable, so a list already in length order
     keeps its order. `count` (a TokenCount) adds up the positions run."""
     order = np.argsort([len(s.ids) for s in seqs], kind="stable")
     for start in range(0, len(order), GROUP_ROWS):
         idx = order[start : start + GROUP_ROWS]
-        ids, spans = pad_batch([seqs[j] for j in idx])
+        ids, content = pad_batch([seqs[j] for j in idx])
         if count is not None:
             count.tokens += ids.size
             count.pad_tokens += int((ids == PAD).sum())
-        yield idx, ids, spans, text_forward(params, run, ids)
+        yield idx, content, text_forward(params, run, ids)
 
 
 class TrainLog:
@@ -341,6 +342,19 @@ class ValidationSplitError(ValueError):
 def _require_val(stage: str, n_items: int, need: int) -> None:
     if n_items < need:
         raise ValidationSplitError(f"{stage}: validation split of {n_items} items; scoring needs {need}")
+
+
+class InitStageError(ValueError):
+    """A stage given a result of a stage it does not follow, refused before
+    any step."""
+
+
+def _require_init(stage: str, init, wanted: str) -> None:
+    got = None if init is None else init.stage
+    if got != wanted:
+        raise InitStageError(
+            f"{stage}: starts from the {wanted} stage's result, got " + (f"the {got} stage's" if got else "none")
+        )
 
 
 # Batches per shuffling window of `bucketed_batches`.
@@ -521,7 +535,7 @@ def _mntp_parts(params, run, seqs, step, train=True, count=None):
     rng_mask = stream_rng(run.seed, stream, step)
     masked = [apply_mntp_mask(s, run.mask_prob, rng_mask) for s in seqs]
     total = sum(len(s.mask_targets) for s in masked)
-    for idx, _, _, hidden in length_groups(params, run, masked, count=count):
+    for idx, _, hidden in length_groups(params, run, masked, count=count):
         logits = linear(hidden, params["mntp.w"], params["mntp.b"])
         group = [masked[j] for j in idx]
         positions = [(b, p) for b, s in enumerate(group) for p in s.mask_positions]
@@ -604,8 +618,8 @@ def encode_pooled(params, run: RunConfig, seqs, normalize=True, count=None):
     """Pooled (and L2-normalized) rows of token sequences, in input order,
     from length-grouped forwards (`length_groups`)."""
     parts, order = [], []
-    for idx, ids, spans, hidden in length_groups(params, run, seqs, count=count):
-        parts.append(pool(hidden, eligible_mask(ids, spans)))
+    for idx, content, hidden in length_groups(params, run, seqs, count=count):
+        parts.append(pool(hidden, content))
         order.append(idx)
     pooled = concat(parts) if len(parts) > 1 else parts[0]
     order = np.concatenate(order)
@@ -641,7 +655,10 @@ def train_contrastive(
     out_dir=None,
 ) -> StageResult:
     """Instruction-based supervised contrastive stage. Starts from an MNTP
-    result unless `init` is None (cold-start ablation)."""
+    result unless `init` is None (cold-start ablation); a result of any
+    other stage raises InitStageError."""
+    if init is not None:
+        _require_init("contrastive", init, "mntp")
     train_studies, val_studies = split_corpus(studies)
     val_pairs = build_contrastive_pairs(val_studies, stream_rng(run.seed, _STREAM_PAIRS, 1))
     _require_val("contrastive", len(val_pairs), 2)
@@ -755,8 +772,10 @@ def train_clip(
     projections, vision tower, and temperature.
 
     `section_of` maps a study id to "findings" or "impression"; by default
-    every study pairs its image with the findings text.
+    every study pairs its image with the findings text. `text_init` must be
+    a contrastive result, or InitStageError is raised.
     """
+    _require_init("clip", text_init, "contrastive")
     train_studies, val_studies = split_corpus(studies)
     _require_val("clip", len(val_studies), 2)
     vocab = text_init.vocab

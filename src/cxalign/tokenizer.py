@@ -93,15 +93,16 @@ def build_vocab(texts) -> Vocabulary:
 @dataclass
 class TokenSequence:
     ids: list
-    instruction_span: tuple = (1, 1)  # half-open prefix range excluded from pooling
+    content_start: int  # first position after BOS, instruction and section token
     mask_positions: list = field(default_factory=list)
     mask_targets: list = field(default_factory=list)
     truncated: bool = False
 
     def content_range(self) -> tuple:
-        """Positions eligible for masking/pooling: after the instruction
-        span (and BOS), before the final EOS."""
-        return (self.instruction_span[1], len(self.ids) - 1)
+        """The half-open range of the text's own tokens, the positions MNTP
+        masks and pooling averages: after BOS, the instruction and the
+        section token, before the final EOS."""
+        return (self.content_start, len(self.ids) - 1)
 
 
 def encode(
@@ -129,7 +130,7 @@ def encode(
         truncated = True
     return TokenSequence(
         ids=prefix + content + [EOS],
-        instruction_span=(1, len(prefix)),
+        content_start=len(prefix),
         truncated=truncated,
     )
 

@@ -37,7 +37,7 @@ from .autodiff import (
     scale,
 )
 from .grammar.image import CANVAS
-from .tokenizer import PAD, SECTION_FINDINGS, SECTION_IMPRESSION, BOS, EOS, UNK
+from .tokenizer import PAD
 
 NEG_INF = -1e9
 
@@ -241,22 +241,10 @@ def text_forward(params: dict, run, ids: np.ndarray) -> Tensor:
     return _blocks(params, "text", x, bias, run.heads, rope=True)
 
 
-# whether each reserved id 0..UNK may be pooled; every id above UNK is a word
-_RESERVED_ELIGIBLE = ~np.isin(
-    np.arange(UNK + 1), (PAD, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION)
-)
-
-
-def eligible_mask(ids: np.ndarray, instruction_spans) -> np.ndarray:
-    """Positions that may contribute to pooling: content tokens only."""
-    elig = _RESERVED_ELIGIBLE[np.minimum(ids, UNK)]
-    for b, (lo, hi) in enumerate(instruction_spans):
-        elig[b, lo:hi] = False
-    return elig
-
-
 def pool(hidden: Tensor, elig: np.ndarray) -> Tensor:
-    """Mean pooling over eligible positions."""
+    """(B, d) means of `hidden` over the positions the (B, T) boolean
+    `elig` marks in each row: a text row's content positions
+    (`pipeline.pad_batch`), or every token of an image."""
     B, T, d = hidden.shape
     counts = elig.sum(axis=1)
     if np.any(counts == 0):
@@ -283,12 +271,10 @@ def vision_forward(params: dict, images: np.ndarray) -> Tensor:
     x = linear(patches, params["vision.patch_w"], params["vision.patch_b"])
     cls = add(Tensor(np.zeros((B, 1, VISION_DIM), dtype=np.float32)), params["vision.cls"])
     x = concat([cls, x], axis=1)
-    T = N_PATCHES + 1
     x = add(x, params["vision.pos_emb"])
     h = _blocks(params, "vision", x, None, VISION_HEADS)
-    # readout: the mean over all T tokens, the cls token included
-    weights = np.full((B, 1, T), 1.0 / T, dtype=np.float32)
-    return reshape(matmul(Tensor(weights), h), (B, VISION_DIM))
+    # readout: the mean over all tokens, the cls token included
+    return pool(h, np.ones(h.shape[:2], dtype=bool))
 
 
 def project(emb: Tensor, head_w: Tensor, mu: Tensor | None = None) -> Tensor:

@@ -3,7 +3,8 @@
 for building test losses. The program runs none of them, so they live with
 the tests. Each is one graph node over autodiff's own math helpers, so a
 reference and its fused op share every float operation; `unfused_attention`
-chains them with autodiff's own primitives."""
+chains them with autodiff's own primitives. `reserved_id_pool_mask` is the
+pooling rule that the tokenizer's content ranges replaced."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from cxalign.autodiff import (
     _softmax_rows,
     _track,
 )
+from cxalign.tokenizer import BOS, EOS, PAD, SECTION_FINDINGS, SECTION_IMPRESSION, UNK
 
 
 def sum_(a) -> Tensor:
@@ -104,3 +106,18 @@ def unfused_attention(q, k, v, heads, cos=None, sin=None, bias=None) -> Tensor:
         scores = ad.add(scores, Tensor(bias))
     ctx = ad.matmul(softmax(scores), v)
     return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, d))
+
+
+# whether each reserved id 0..UNK may be pooled; every id above UNK is a word
+_RESERVED_ELIGIBLE = ~np.isin(
+    np.arange(UNK + 1), (PAD, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION)
+)
+
+
+def reserved_id_pool_mask(ids: np.ndarray, instruction_spans) -> np.ndarray:
+    """(B, T) positions a reserved-id table lets pool (words, MASK and UNK),
+    minus each row's half-open instruction span (lo, hi)."""
+    elig = _RESERVED_ELIGIBLE[np.minimum(ids, UNK)]
+    for b, (lo, hi) in enumerate(instruction_spans):
+        elig[b, lo:hi] = False
+    return elig

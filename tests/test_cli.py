@@ -240,6 +240,19 @@ def test_diverging_train_leaves_a_resumable_run_directory(workdir, tmp_path, mon
     assert manifest["error"] == f"mntp: non-finite loss at step {k}; last finite state saved to {out}"
 
 
+@pytest.mark.parametrize("stage, init, got", [("contrastive", "s3", "clip"), ("clip", "s1", "mntp")])
+def test_train_init_of_another_stage_is_usage_error(workdir, tmp_path, capsys, stage, init, got):
+    out = tmp_path / "out"
+    rc = main(["train", stage, "--corpus", str(workdir / "corpus.jsonl"),
+               "--config", str(workdir / "config.json"), "--init", str(workdir / init), "--out", str(out)])
+    assert rc == 2
+    wanted = {"contrastive": "mntp", "clip": "contrastive"}[stage]
+    assert f"train {stage}: {stage}: starts from the {wanted} stage's result, got the {got} stage's" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_train_outputs_run_directory(workdir):
     for stage_dir in ("s1", "s2", "s3"):
         d = workdir / stage_dir
@@ -281,6 +294,54 @@ def test_embed_image_requires_clip_stage(workdir, tmp_path, capsys):
     assert rc == 0
     data = np.load(tmp_path / "img.npz", allow_pickle=False)
     assert data["matrix"].shape[0] == 50
+
+
+def test_out_of_vocabulary_word_is_usage_error(workdir, tmp_path, capsys):
+    """`embed` and `eval` name a word the run's vocabulary lacks and exit 2
+    without writing an artifact or a manifest."""
+    from cxalign.grammar.corpus import read_corpus, write_corpus
+
+    studies = read_corpus(workdir / "corpus.jsonl")
+    for s in studies:
+        s.findings_text = "Xylophone. " + s.findings_text
+    corpus = tmp_path / "oov.jsonl"
+    write_corpus(studies, corpus)
+    runs = [
+        ["embed", "--ckpt", str(workdir / "s1")],
+        ["embed", "--ckpt", str(workdir / "s3")],
+        ["eval", "--task", "task1", "--ckpt", str(workdir / "s2")],
+        ["eval", "--task", "multimodal", "--ckpt", str(workdir / "s3")],
+    ]
+    for argv in runs:
+        out = tmp_path / "out"
+        assert main([*argv, "--corpus", str(corpus), "--out", str(out)]) == 2
+        prefix = "embed" if argv[0] == "embed" else f"eval {argv[2]}"
+        assert capsys.readouterr().err == (
+            f"{prefix}: the word 'xylophone' from {corpus} is not in the vocabulary of {argv[-1]}\n"
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["oov.jsonl"]
+
+
+def test_eval_refuses_an_empty_split_a_task_needs(workdir, tmp_path, capsys):
+    """Every task scores the validation split, and task5 also retrieves from
+    the training pool: an empty one exits 2 before any task runs."""
+    from cxalign.grammar.corpus import read_corpus, write_corpus
+    from cxalign.pipeline import split_corpus
+
+    no_val = tmp_path / "no_val.jsonl"
+    assert main(["gen-corpus", "--n", "5", "--seed", "2", "--out", str(no_val)]) == 0
+    assert split_corpus(read_corpus(no_val))[1] == []
+    only_val = tmp_path / "only_val.jsonl"
+    write_corpus(split_corpus(read_corpus(workdir / "corpus.jsonl"))[1], only_val)
+    cases = [(no_val, task, "validation split") for task in ("task1", "task5", "judge")]
+    cases.append((only_val, "task5", "training pool"))
+    for corpus, task, empty in cases:
+        out = tmp_path / "report.json"
+        rc = main(["eval", "--task", task, "--ckpt", str(workdir / "s2"), "--corpus", str(corpus),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"eval {task}: the {empty} of {corpus} is empty\n"
+        assert not out.exists() and not (tmp_path / "report.json.manifest.json").exists()
 
 
 def test_eval_writes_report_and_requirements_gate(workdir, tmp_path):

@@ -24,6 +24,7 @@ from cxalign.objectives import build_contrastive_pairs, mntp_loss, mntp_text_poo
 from cxalign.pipeline import (
     CLIP_TRAINABLE_PREFIXES,
     GROUP_ROWS,
+    InitStageError,
     RegimeViolationError,
     RunConfig,
     StageResult,
@@ -44,7 +45,7 @@ from cxalign.pipeline import (
     train_mntp,
 )
 from cxalign.tokenizer import PAD, apply_mntp_mask, encode
-from cxalign.towers import eligible_mask, init_text_tower, pool, text_forward
+from cxalign.towers import init_text_tower, pool, text_forward
 
 from conftest import rel_error
 
@@ -282,11 +283,41 @@ def tower(corpus):
     return run, params, seqs
 
 
+def test_content_mask_matches_the_reserved_id_rule(corpus):
+    """`pad_batch`'s content mask (each row's `content_range()`) equals the
+    reserved-id rule with instruction spans on every sequence `encode`
+    makes: every text of a corpus slice, under no instruction and each
+    instruction, with no section token and each one, whole and cut at a
+    small max_len."""
+    from reference_ops import reserved_id_pool_mask
+    from cxalign.grammar.types import KINDS
+    from cxalign.objectives import INSTR_IMAGE, INSTR_SIMILAR, INSTR_STATUS, INSTR_SUMMARIZE
+    from cxalign.tokenizer import tokenize
+
+    vocab = corpus_vocab(corpus)
+    texts = []
+    for s in corpus[:12]:
+        texts += [s.findings_text, s.impression_text, *s.variants.values(), *(t for _, t in s.errors)]
+    instructions = [None, INSTR_SIMILAR, INSTR_SUMMARIZE]
+    instructions += [INSTR_STATUS.format(finding=k.replace("_", " ")) for k in KINDS]
+    instructions += [INSTR_IMAGE.format(section=sec) for sec in ("findings", "impression")]
+    truncated = 0
+    for instruction, section, max_len in itertools.product(
+        instructions, (None, "findings", "impression"), (128, 24)
+    ):
+        seqs = [encode(t, vocab, instruction=instruction, section=section, max_len=max_len) for t in texts]
+        truncated += sum(s.truncated for s in seqs)
+        prefix = 1 + len(tokenize(instruction or "")) + (section is not None)
+        ids, content = pad_batch(seqs)
+        np.testing.assert_array_equal(content, reserved_id_pool_mask(ids, [(1, prefix)] * len(seqs)))
+    assert truncated > 0
+
+
 def _one_batch_pooled(params, run, seqs):
     """Reference: every sequence in one padded forward."""
-    ids, spans = pad_batch(seqs)
+    ids, content = pad_batch(seqs)
     hidden = text_forward(params, run, ids)
-    return l2_normalize(pool(hidden, eligible_mask(ids, spans)))
+    return l2_normalize(pool(hidden, content))
 
 
 def _one_batch_mntp_loss(params, run, seqs, step):
@@ -694,6 +725,35 @@ def test_too_small_validation_split_is_rejected_before_any_step(monkeypatch):
         with pytest.raises(ValueError, match="validation split"):
             train()
     assert forwards == []
+
+
+@pytest.mark.parametrize(
+    "stage, wanted, got",
+    [
+        ("contrastive", "mntp", "contrastive"),
+        ("contrastive", "mntp", "clip"),
+        ("clip", "contrastive", "mntp"),
+        ("clip", "contrastive", "clip"),
+        ("clip", "contrastive", None),
+    ],
+)
+def test_a_stage_starts_only_from_the_stage_before_it(corpus, tmp_path, monkeypatch, stage, wanted, got):
+    forwards = []
+    monkeypatch.setattr(pipeline, "text_forward", lambda *a, **k: forwards.append(a))
+    run = RunConfig(**TINY)
+    vocab = corpus_vocab(corpus)
+    tower = init_text_tower(run, len(vocab), np.random.default_rng(0))
+    init = None if got is None else StageResult(got, tower, vocab, run, 0, AdamW(group_lrs={"": 1e-3}))
+    out = tmp_path / "run"
+    with pytest.raises(InitStageError) as e:
+        if stage == "contrastive":
+            train_contrastive(corpus, run, init=init, out_dir=out)
+        else:
+            train_clip(corpus, run, text_init=init, out_dir=out)
+    assert str(e.value) == f"{stage}: starts from the {wanted} stage's result, got " + (
+        f"the {got} stage's" if got else "none"
+    )
+    assert forwards == [] and not out.exists()
 
 
 @pytest.mark.parametrize("field", ["batch_contrastive", "batch_clip"])

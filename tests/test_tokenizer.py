@@ -36,9 +36,9 @@ def test_encode_layout_with_instruction_and_section(vocab):
     seq = tk.encode("No pneumothorax.", vocab, instruction="Summarize the CXR report.", section="findings")
     assert seq.ids[0] == tk.BOS
     assert seq.ids[-1] == tk.EOS
-    lo, hi = seq.instruction_span
-    assert lo == 1
-    assert seq.ids[hi - 1] == tk.SECTION_IDS["findings"]
+    lo, hi = seq.content_range()
+    assert seq.ids[lo - 1] == tk.SECTION_IDS["findings"]
+    assert hi == len(seq.ids) - 1
     # decoding skips structural tokens but keeps instruction words
     assert tk.decode(seq, vocab).endswith("no pneumothorax.")
 

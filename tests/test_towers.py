@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import finite_difference, rel_error, unfolded_lora_forward
 from reference_ops import sum_
 from cxalign.autodiff import NonFiniteError, ShapeError, Tensor, add, backward, mul
-from cxalign.pipeline import RunConfig
-from cxalign.tokenizer import BOS, EOS, PAD
+from cxalign.pipeline import RunConfig, pad_batch
+from cxalign.tokenizer import BOS, EOS, PAD, TokenSequence
 from cxalign import towers as tw
 
 
@@ -265,21 +265,6 @@ def test_project_orthogonality_through_identity(rng):
     assert abs(out[0] @ out[1]) < 1e-6
 
 
-def test_eligible_mask_matches_isin_definition():
-    """The reserved-id table gives np.isin's mask for every id of a corpus
-    vocabulary, MASK and UNK included, and instruction spans stay out."""
-    from cxalign.grammar.corpus import generate_corpus
-    from cxalign.pipeline import corpus_vocab
-    from cxalign.tokenizer import MASK, SECTION_FINDINGS, SECTION_IMPRESSION
-
-    ids = np.arange(len(corpus_vocab(generate_corpus(20, seed=3))))[None, :]
-    expected = ~np.isin(ids, (PAD, BOS, EOS, SECTION_FINDINGS, SECTION_IMPRESSION))
-    np.testing.assert_array_equal(tw.eligible_mask(ids, [(0, 0)]), expected)
-    assert tw.eligible_mask(ids, [(0, 0)])[0, MASK]
-    expected[0, 7:9] = False
-    np.testing.assert_array_equal(tw.eligible_mask(ids, [(7, 9)]), expected)
-
-
 # ---------------------------------------------------------------------------
 # Frozen views
 # ---------------------------------------------------------------------------
@@ -291,7 +276,8 @@ def test_frozen_views_share_memory_and_record_no_tape(params, vparams):
     assert not any(v.requires_grad for v in view.values())
     ids = np.concatenate([seq_ids(10, 11, 12), seq_ids(13, 14, 15)])
     hidden = tw.text_forward(view, RUN, ids)
-    pooled = tw.pool(hidden, tw.eligible_mask(ids, [(0, 0), (0, 0)]))
+    _, content = pad_batch([TokenSequence(list(row), content_start=1) for row in ids])
+    pooled = tw.pool(hidden, content)
     images = np.random.default_rng(2).random((2, 64, 64)).astype(np.float32)
     vision = tw.vision_forward(tw.frozen(vparams), images=images)
     for out in (hidden, pooled, vision):
